@@ -7,8 +7,8 @@ sampled :class:`~ghmdatsp.roadmap.Roadmap`, search tours with
 :func:`~ghmdatsp.exact.solve_bruteforce` or the exported integer program.
 """
 
-from .geometry import (Config, Disk, DubinsPath, dubins_shortest_path, nin_check,
-                       sample_path, turning_circles)
+from .geometry import (Config, Disk, DubinsPath, dubins_lengths, dubins_shortest_path,
+                       nin_check, sample_path, turning_circles)
 from .instance import (Instance, Task, VehicleSpec, build_instance, builtin_task_centers,
                        load_tsplib, turn_radius)
 from .memetic import (Chromosome, Evaluator, Gene, MAParams, MAResult, TourSet,
@@ -22,7 +22,7 @@ from .exact import (MilpModel, RelaxedSolution, export_milp, find_subtours,
                     solve_bruteforce)
 
 __all__ = [
-    "Config", "Disk", "DubinsPath", "dubins_shortest_path", "nin_check",
+    "Config", "Disk", "DubinsPath", "dubins_lengths", "dubins_shortest_path", "nin_check",
     "sample_path", "turning_circles",
     "Instance", "Task", "VehicleSpec", "build_instance", "builtin_task_centers",
     "load_tsplib", "turn_radius",

@@ -341,8 +341,8 @@ def _bench_cell(m, s, method, seed, velocity, alpha, sensing, metric):
     inst = build_instance(
         n_vehicles=m, samples_per_cluster=s, alpha=alpha, velocity=velocity,
         sensing_range=sensing, cost_metric=metric, nin_enabled=nin, seed=seed)
-    roadmap = build_roadmap(inst)
     t0 = time.monotonic()
+    roadmap = build_roadmap(inst)
     if method == "ORACLE":
         ts = exact.solve_bruteforce(roadmap)
         return ts.objective, time.monotonic() - t0

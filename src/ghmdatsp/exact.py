@@ -363,12 +363,15 @@ def solve_bruteforce(roadmap: Roadmap, alpha: float | None = None,
     m = len(veh_ids)
     task_ids = [t.id for t in inst.tasks]
     nin_of = roadmap.nin_node_to_tasks
+    # the enumeration fixes each tour's ends, so each end cluster needs one node
+    for k in veh_ids:
+        for cluster, name in ((DEPOT, "depot"), (TERMINAL, "terminal")):
+            count = len(roadmap.cluster_ids[(k, cluster)])
+            if count != 1:
+                raise ValueError(f"vehicle {k}: {name} cluster holds {count} nodes, "
+                                 "the exact solver needs exactly one")
     depot = {k: roadmap.cluster_ids[(k, DEPOT)][0] for k in veh_ids}
     term = {k: roadmap.cluster_ids[(k, TERMINAL)][0] for k in veh_ids}
-    # depot/terminal clusters hold exactly one node each by construction
-    for k in veh_ids:
-        assert len(roadmap.cluster_ids[(k, DEPOT)]) == 1
-        assert len(roadmap.cluster_ids[(k, TERMINAL)]) == 1
 
     best: list = [math.inf, None]  # objective, tours
 

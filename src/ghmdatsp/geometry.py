@@ -4,13 +4,16 @@ A Dubins vehicle moves at constant speed with a bounded turn rate, so its
 shortest path between two planar poses is a composition of at most three
 segments, each a minimum-radius arc (L/R) or a straight line (S).  All six
 candidate words are evaluated in closed form and the cheapest feasible one
-is returned.
+is returned.  :func:`dubins_lengths` does the same over arrays of pose
+pairs; the scalar :func:`dubins_shortest_path` is its reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -212,9 +215,73 @@ def dubins_shortest_path(start: Config, end: Config, r_min: float) -> DubinsPath
     return DubinsPath(word, params, r_min, start, total * r_min)
 
 
-def dubins_length(start: Config, end: Config, r_min: float) -> float:
-    """Length of the shortest Dubins path (convenience wrapper)."""
-    return dubins_shortest_path(start, end, r_min).length
+def _norm_angles(theta: np.ndarray) -> np.ndarray:
+    """:func:`norm_angle` over an array, with the same wrapping."""
+    a = np.fmod(theta, TWO_PI)
+    a = np.where(a < 0.0, a + TWO_PI, a)
+    return np.where(a < TWO_PI, a, 0.0)
+
+
+def dubins_lengths(x0, y0, th0, x1, y1, th1, r_min: float) -> np.ndarray:
+    """Shortest Dubins lengths for broadcast arrays of pose pairs.
+
+    The array form of ``dubins_shortest_path(...).length``: the same six
+    words in the same order, the same infeasibility tests, the same
+    identical-pose short-circuit, and ties going to the first word.  Results
+    agree with the scalar solver to a few ulps of the trigonometric calls.
+    """
+    if r_min <= 0.0:
+        raise ValueError(f"r_min must be positive, got {r_min}")
+    th0 = _norm_angles(np.asarray(th0, dtype=float))
+    th1 = _norm_angles(np.asarray(th1, dtype=float))
+    dx = np.subtract(x1, x0, dtype=float)
+    dy = np.subtract(y1, y0, dtype=float)
+    dist = np.hypot(dx, dy)
+    gap = np.abs(th0 - th1)
+    same = (dist <= 1e-12) & (np.minimum(gap, TWO_PI - gap) <= 1e-12)
+
+    d = dist / r_min
+    phi = np.arctan2(dy, dx)
+    alpha = _norm_angles(th0 - phi)
+    beta = _norm_angles(th1 - phi)
+    sa, sb, ca, cb = np.sin(alpha), np.sin(beta), np.cos(alpha), np.cos(beta)
+    c_ab = np.cos(alpha - beta)
+    best = np.full(np.shape(d), np.inf)
+
+    def keep(total, feasible):
+        # strict <, so among equal totals the earlier word stays
+        np.copyto(best, total, where=feasible & (total < best))
+
+    with np.errstate(invalid="ignore"):
+        # LSL
+        p_sq = 2.0 + d * d - 2.0 * c_ab + 2.0 * d * (sa - sb)
+        tmp = np.arctan2(cb - ca, d + sa - sb)
+        keep(_norm_angles(-alpha + tmp) + np.sqrt(p_sq) + _norm_angles(beta - tmp), p_sq >= 0.0)
+        # RSR
+        p_sq = 2.0 + d * d - 2.0 * c_ab + 2.0 * d * (sb - sa)
+        tmp = np.arctan2(ca - cb, d - sa + sb)
+        keep(_norm_angles(alpha - tmp) + np.sqrt(p_sq) + _norm_angles(-beta + tmp), p_sq >= 0.0)
+        # LSR
+        p_sq = -2.0 + d * d + 2.0 * c_ab + 2.0 * d * (sa + sb)
+        p = np.sqrt(p_sq)
+        tmp = np.arctan2(-ca - cb, d + sa + sb) - np.arctan2(-2.0, p)
+        keep(_norm_angles(-alpha + tmp) + p + _norm_angles(-beta + tmp), p_sq >= 0.0)
+        # RSL
+        p_sq = d * d - 2.0 + 2.0 * c_ab - 2.0 * d * (sa + sb)
+        p = np.sqrt(p_sq)
+        tmp = np.arctan2(ca + cb, d - sa - sb) - np.arctan2(2.0, p)
+        keep(_norm_angles(alpha - tmp) + p + _norm_angles(beta - tmp), p_sq >= 0.0)
+        # RLR
+        tmp = (6.0 - d * d + 2.0 * c_ab + 2.0 * d * (sa - sb)) / 8.0
+        p = _norm_angles(TWO_PI - np.arccos(tmp))
+        t = _norm_angles(alpha - np.arctan2(ca - cb, d - sa + sb) + p / 2.0)
+        keep(t + p + _norm_angles(alpha - beta - t + p), np.abs(tmp) <= 1.0)
+        # LRL
+        tmp = (6.0 - d * d + 2.0 * c_ab + 2.0 * d * (sb - sa)) / 8.0
+        p = _norm_angles(TWO_PI - np.arccos(tmp))
+        t = _norm_angles(-alpha - np.arctan2(ca - cb, d + sa - sb) + p / 2.0)
+        keep(t + p + _norm_angles(beta - alpha - t + p), np.abs(tmp) <= 1.0)
+    return np.where(same, 0.0, best * r_min)
 
 
 def sample_path(path: DubinsPath, spacing: float) -> list[Config]:

@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Config, Disk, dubins_shortest_path, nin_check
+from .geometry import Config, Disk, dubins_lengths, nin_check
+# unused here, but benchmark/tracing.py patches roadmap.dubins_shortest_path by name
+from .geometry import dubins_shortest_path  # noqa: F401
 from .instance import Instance
 
 #: Cluster markers for the two endpoint clusters of each vehicle.
@@ -78,6 +80,10 @@ def generate_samples(instance: Instance, seed: int | None = None) -> list[Sample
     return nodes
 
 
+#: Rows of a cost table evaluated per kernel call; keeps the temporaries small.
+COST_BLOCK_ROWS = 32
+
+
 def build_cost_matrix(nodes: list[SampleNode], instance: Instance) -> dict[int, np.ndarray]:
     """Dense per-vehicle cost tables over the permitted topology.
 
@@ -88,16 +94,21 @@ def build_cost_matrix(nodes: list[SampleNode], instance: Instance) -> dict[int, 
     matrices: dict[int, np.ndarray] = {}
     for veh in instance.vehicles:
         locals_ = [s for s in nodes if s.vehicle == veh.id]
-        size = len(locals_)
-        mat = np.full((size, size), np.inf)
-        for i, a in enumerate(locals_):
-            if a.cluster == TERMINAL:
-                continue
-            for j, b in enumerate(locals_):
-                if i == j or b.cluster == DEPOT or a.cluster == b.cluster:
-                    continue
-                length = dubins_shortest_path(a.config, b.config, veh.r_min).length
-                mat[i, j] = length / veh.velocity if metric_time else length
+        x = np.array([s.config.x for s in locals_])
+        y = np.array([s.config.y for s in locals_])
+        th = np.array([s.config.theta for s in locals_])
+        cluster = np.array([s.cluster for s in locals_])
+        mat = np.empty((len(locals_), len(locals_)))
+        for lo in range(0, len(locals_), COST_BLOCK_ROWS):
+            rows = slice(lo, lo + COST_BLOCK_ROWS)
+            mat[rows] = dubins_lengths(x[rows, None], y[rows, None], th[rows, None],
+                                       x, y, th, veh.r_min)
+        if metric_time:
+            mat /= veh.velocity
+        # same cluster covers the diagonal
+        forbidden = ((cluster[:, None] == cluster[None, :])
+                     | (cluster == TERMINAL)[:, None] | (cluster == DEPOT)[None, :])
+        mat[forbidden] = np.inf
         matrices[veh.id] = mat
     return matrices
 
@@ -194,9 +205,6 @@ class Roadmap:
             total += cl[prev][cur]
             prev = cur
         return total
-
-    def nin_of_node(self, node_id: int) -> set[int]:
-        return self.nin_node_to_tasks[node_id]
 
     def to_debug_json(self) -> str:
         """Diagnostic dump: nodes, NIN tables, cost checksum."""

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ghmdatsp.geometry import Config
+from ghmdatsp.geometry import Config, turning_circles
 from ghmdatsp.instance import Instance, build_instance
 from ghmdatsp.memetic import Chromosome, delim_gene, task_gene
 from ghmdatsp.roadmap import DEPOT, TERMINAL, Roadmap, SampleNode, build_cost_matrix, build_nin_tables
@@ -20,6 +20,16 @@ def manual_roadmap(instance: Instance, nodes: list[SampleNode], with_nin: bool =
         s_nin = {t.id: set() for t in instance.tasks}
         t_nin = {s.id: set() for s in nodes}
     return Roadmap(instance, nodes, cost, s_nin, t_nin)
+
+
+def on_one_turning_circle(a: Config, b: Config, r_min: float, tol: float = 1e-6) -> bool:
+    """True when both poses ride the same left (or the same right) turning circle.
+
+    Dubins words through such a pair hinge on the angle of a near-zero
+    centre-to-centre vector, so two solvers can legitimately disagree there.
+    """
+    (al, ar), (bl, br) = turning_circles(a, r_min), turning_circles(b, r_min)
+    return math.dist(al, bl) <= tol * r_min or math.dist(ar, br) <= tol * r_min
 
 
 def coverage_ok(tourset, roadmap) -> bool:

@@ -1,8 +1,11 @@
 import json
+import time
+import types
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from ghmdatsp import cli, memetic
 from ghmdatsp.cli import (EXIT_OK, EXIT_SOLVE, EXIT_USAGE, evaluate_tour_document,
                           fingerprint, main)
 from ghmdatsp.instance import Instance, build_instance
@@ -168,3 +171,26 @@ class TestBench:
         lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert row["failures"] == "2"
+
+    def test_wall_time_includes_roadmap_build(self, tmp_path, monkeypatch):
+        spent = []
+        real_build = cli.build_roadmap
+
+        def slow_build(inst):
+            t0 = time.monotonic()
+            time.sleep(0.2)
+            rm = real_build(inst)
+            spent.append(time.monotonic() - t0)
+            return rm
+
+        monkeypatch.setattr(cli, "build_roadmap", slow_build)
+        monkeypatch.setattr(memetic, "run", lambda rm, params: types.SimpleNamespace(best_cost=1.0))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"vehicles": [1], "samples": [1], "seeds": [0],
+                                   "methods": ["MA-NIN"]}))
+        assert main(["bench", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert row["failures"] == "0"
+        assert len(spent) == 1
+        assert float(row["mean_wall_s"]) >= spent[0]

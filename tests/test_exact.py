@@ -6,11 +6,12 @@ import pytest
 from ghmdatsp.exact import (MalformedSolutionError, RelaxedSolution, SizeLimitError,
                             cut_rows_text, enumeration_size, export_milp, find_subtours,
                             solve_bruteforce, subtour_cut_rows)
+from ghmdatsp.geometry import Config
 from ghmdatsp.instance import build_instance
 from ghmdatsp.memetic import MAParams, run
-from ghmdatsp.roadmap import DEPOT, TERMINAL, build_roadmap
+from ghmdatsp.roadmap import DEPOT, TERMINAL, SampleNode, build_roadmap
 
-from conftest import coverage_ok, random_tiny_instance
+from conftest import coverage_ok, manual_roadmap, random_tiny_instance
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +186,19 @@ class TestBruteForce:
         inst = build_instance(n_vehicles=4, samples_per_cluster=5, seed=2)
         rm = build_roadmap(inst)
         with pytest.raises(SizeLimitError):
+            solve_bruteforce(rm)
+
+    def test_two_depot_nodes_raise_value_error(self):
+        inst = build_instance([(500.0, 0.0)], n_vehicles=1, samples_per_cluster=1,
+                              velocity=50, depots=[(0.0, 0.0)], seed=2)
+        nodes = [
+            SampleNode(0, 1, DEPOT, 1, Config(0.0, 0.0, 0.0)),
+            SampleNode(1, 1, DEPOT, 2, Config(0.0, 0.0, 1.0)),
+            SampleNode(2, 1, TERMINAL, 1, Config(0.0, 0.0, 0.0)),
+            SampleNode(3, 1, 1, 1, Config(500.0, 0.0, 0.0)),
+        ]
+        rm = manual_roadmap(inst, nodes, with_nin=False)
+        with pytest.raises(ValueError, match="vehicle 1: depot cluster holds 2 nodes"):
             solve_bruteforce(rm)
 
     def test_enumeration_size_formula(self):

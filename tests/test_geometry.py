@@ -1,13 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghmdatsp.geometry import (Config, Disk, dubins_shortest_path, nin_check,
+from ghmdatsp.geometry import (Config, Disk, dubins_lengths, dubins_shortest_path, nin_check,
                                norm_angle, sample_path, turning_circles)
 
+from conftest import on_one_turning_circle
 from dubins_search_oracle import search_shortest_length
 
 
@@ -62,6 +64,78 @@ class TestDubinsShortestPath:
             closed = dubins_shortest_path(Config(*a), Config(*b), r).length
             searched = search_shortest_length(a, b, r)
             assert closed == pytest.approx(searched, rel=0.01, abs=1e-6)
+
+
+def kernel_grid(poses, r):
+    """Kernel lengths for every ordered pair of ``poses`` (rows are starts)."""
+    x, y, th = (np.array(v, dtype=float) for v in zip(*poses))
+    return dubins_lengths(x[:, None], y[:, None], th[:, None], x, y, th, r)
+
+
+def assert_grid_matches_scalar(poses, r):
+    got = kernel_grid(poses, r)
+    assert got.shape == (len(poses), len(poses))
+    for i, a in enumerate(poses):
+        for j, b in enumerate(poses):
+            start, end = Config(*a), Config(*b)
+            if on_one_turning_circle(start, end, r):
+                continue
+            want = dubins_shortest_path(start, end, r).length
+            assert got[i, j] == pytest.approx(want, rel=1e-9), (a, b, r)
+
+
+poses = st.tuples(finite, finite, angles)
+
+
+class TestDubinsLengthsKernel:
+    """The vectorized kernel against the scalar solver, its reference."""
+
+    @given(grid=st.lists(poses, min_size=1, max_size=8), r=radii)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_on_random_grids(self, grid, r):
+        assert_grid_matches_scalar(grid, r)
+
+    @given(grid=st.lists(poses, min_size=2, max_size=6),
+           r=st.sampled_from([0.5, 5.0, 66.0, 169.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_at_fleet_radii(self, grid, r):
+        assert_grid_matches_scalar(grid, r)
+
+    def test_identical_poses_have_zero_length(self):
+        lengths = kernel_grid([(3.0, -2.0, 1.0)] * 3, 2.0)
+        assert (lengths == 0.0).all()
+
+    def test_coincident_positions_with_different_headings(self):
+        grid = [(1.0, 1.0, k * math.pi / 6) for k in range(12)]
+        lengths = kernel_grid(grid, 1.5)
+        assert (np.diag(lengths) == 0.0).all()
+        assert (lengths[~np.eye(12, dtype=bool)] > 0.0).all()
+        assert_grid_matches_scalar(grid, 1.5)
+
+    def test_short_range_ccc_words(self):
+        pairs = [((0.0, 0.0, 0.0), (0.5, 0.0, math.pi)),
+                 ((0.0, 0.0, 0.0), (1.0, 0.0, math.pi)),
+                 ((0.0, 0.0, math.pi / 2), (1.0, 0.0, 3 * math.pi / 2))]
+        for a, b in pairs:
+            want = dubins_shortest_path(Config(*a), Config(*b), 1.0)
+            assert want.word in ("RLR", "LRL")
+            got = dubins_lengths(*a, *b, 1.0)
+            assert got == pytest.approx(want.length, rel=1e-9)
+
+    def test_long_range_pairs(self):
+        rng = random.Random(3)
+        grid = [(rng.uniform(-1e5, 1e5), rng.uniform(-1e5, 1e5), rng.uniform(0, 2 * math.pi))
+                for _ in range(10)]
+        assert_grid_matches_scalar(grid, 3.0)
+
+    def test_unnormalized_headings_wrap_like_config(self):
+        got = dubins_lengths(0.0, 0.0, -math.pi / 2, 4.0, 3.0, 7.0, 1.0)
+        want = dubins_shortest_path(Config(0, 0, -math.pi / 2), Config(4, 3, 7.0), 1.0)
+        assert got == pytest.approx(want.length, rel=1e-9)
+
+    def test_rejects_nonpositive_radius(self):
+        with pytest.raises(ValueError):
+            dubins_lengths(0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
 
 
 class TestSamplePath:

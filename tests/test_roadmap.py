@@ -4,12 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from ghmdatsp.geometry import Config
+from ghmdatsp.geometry import Config, dubins_shortest_path
 from ghmdatsp.instance import build_instance
-from ghmdatsp.roadmap import (DEPOT, TERMINAL, SampleNode, build_nin_tables,
+from ghmdatsp.roadmap import (DEPOT, TERMINAL, SampleNode, build_cost_matrix, build_nin_tables,
                               build_roadmap, generate_samples)
 
-from conftest import manual_roadmap
+from conftest import manual_roadmap, on_one_turning_circle
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,31 @@ class TestCostMatrix:
         ]
         rm = manual_roadmap(inst, nodes, with_nin=False)
         assert rm.edge_cost(1, 2, 3) == pytest.approx(500.0 / 70.0, rel=1e-12)
+
+    @pytest.mark.parametrize("metric", ["length", "time"])
+    def test_matches_scalar_loop(self, metric):
+        inst = build_instance(n_vehicles=2, samples_per_cluster=4, velocity=[50.0, 80.0],
+                              cost_metric=metric,
+                              task_centers=[(150.0 * i, 120.0 * (i % 4)) for i in range(1, 10)],
+                              depots=[(0.0, 0.0), (1400.0, 300.0)], seed=9)
+        nodes = generate_samples(inst)
+        got = build_cost_matrix(nodes, inst)
+        for veh in inst.vehicles:
+            locals_ = [s for s in nodes if s.vehicle == veh.id]
+            want = np.full((len(locals_), len(locals_)), np.inf)
+            for i, a in enumerate(locals_):
+                for j, b in enumerate(locals_):
+                    if a.cluster in (b.cluster, TERMINAL) or b.cluster == DEPOT:
+                        continue
+                    length = dubins_shortest_path(a.config, b.config, veh.r_min).length
+                    want[i, j] = length / veh.velocity if metric == "time" else length
+            mat = got[veh.id]
+            assert (np.isinf(mat) == np.isinf(want)).all()
+            for i, a in enumerate(locals_):
+                for j, b in enumerate(locals_):
+                    if np.isfinite(want[i, j]) and not on_one_turning_circle(
+                            a.config, b.config, veh.r_min):
+                        assert mat[i, j] == pytest.approx(want[i, j], rel=1e-9)
 
     def test_costs_dominate_euclidean(self, small_roadmap):
         _, rm = small_roadmap
