@@ -18,7 +18,8 @@ from pathlib import Path
 from . import exact, memetic
 from .instance import Instance, build_instance, load_tsplib
 from .memetic import MAParams, TourSet, evaluate
-from .refine import RefineError, build_chain, refine, refined_objective
+from .refine import (RefineError, build_chain, refine, refined_objective,
+                     refined_vehicle_costs)
 from .roadmap import Roadmap, build_roadmap
 from .svgplot import render_solution
 
@@ -47,13 +48,8 @@ class RunReport:
     method: str
     wall_time_s: float
     objective: float | None = None
-    per_vehicle_cost: list[float] | None = None
     generations: int | None = None
     termination_reason: str | None = None
-
-    def to_json(self) -> str:
-        doc = {k: v for k, v in self.__dict__.items() if v is not None}
-        return json.dumps(doc, indent=2, sort_keys=True)
 
     def summary(self) -> str:
         parts = [f"method={self.method}", f"instance={self.instance_fingerprint}"]
@@ -70,13 +66,13 @@ class RunReport:
 def tour_document(instance: Instance, roadmap: Roadmap, tourset: TourSet, method: str,
                   objective: float, refine_result=None) -> dict:
     """The tour JSON payload; refined chains ride along when present."""
-    refined_by_vehicle = {}
+    costs = tourset.per_vehicle_cost
+    chains = {}
     if refine_result is not None:
-        for chain, cost in zip(refine_result.chains, refine_result.per_chain_cost):
-            refined_by_vehicle[chain.vehicle_id] = (chain, cost)
+        costs = refined_vehicle_costs(refine_result, tourset)
+        chains = {chain.vehicle_id: chain for chain in refine_result.chains}
     vehicles = []
-    for vi, (tour, cost) in enumerate(zip(tourset.tours, tourset.per_vehicle_cost)):
-        veh = instance.vehicles[vi]
+    for veh, tour, cost in zip(instance.vehicles, tourset.tours, costs):
         nodes = []
         for nid in tour:
             s = roadmap.node_by_id[nid]
@@ -86,15 +82,13 @@ def tour_document(instance: Instance, roadmap: Roadmap, tourset: TourSet, method
                 "config": [s.config.x, s.config.y, s.config.theta],
             })
         entry = {"id": veh.id, "cost": cost, "nodes": nodes}
-        if veh.id in refined_by_vehicle:
-            chain, rcost = refined_by_vehicle[veh.id]
-            entry["cost"] = rcost
+        if veh.id in chains:
             entry["refined_chain"] = {
                 "refined": True,
                 "states": [
                     {"kind": s.kind, "cluster": s.cluster,
                      "config": [s.config.x, s.config.y, s.config.theta]}
-                    for s in chain.states
+                    for s in chains[veh.id].states
                 ],
             }
         vehicles.append(entry)
@@ -181,35 +175,25 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _solve_ma(inst: Instance, roadmap: Roadmap, args):
-    params = MAParams(seed=inst.seed if args.seed is None else args.seed,
-                      time_limit_s=args.time_limit)
+def _run_ma(roadmap: Roadmap, params: MAParams, refine_best: bool):
+    """Memetic search, then refinement of its best tours when asked.
+
+    Returns the search result, the refinement result (None when not
+    refined) and the objective of the final tours.
+    """
     result = memetic.run(roadmap, params)
-    method = "MA-NIN" if roadmap.instance.nin_enabled else "MA-noNIN"
-    objective = result.best_cost
-    refine_result = None
-    if args.refine:
-        chains = build_chain(result.best, roadmap)
-        refine_result = refine(chains, list(inst.vehicles),
-                               cost_metric=inst.cost_metric)
-        objective = refined_objective(refine_result, result.best,
-                                      inst.alpha, inst.n_vehicles)
-        method = "MA-NIN-PR"
-    report = RunReport(
-        instance_fingerprint=fingerprint(inst),
-        method=method,
-        wall_time_s=result.wall_time_s,
-        objective=objective,
-        per_vehicle_cost=list(result.best.per_vehicle_cost),
-        generations=result.generations,
-        termination_reason=result.termination_reason,
-    )
-    doc = tour_document(inst, roadmap, result.best, method, objective, refine_result)
-    chains = refine_result.chains if refine_result is not None else None
-    return report, doc, chains, result.history_json()
+    if not refine_best:
+        return result, None, result.best_cost
+    inst = roadmap.instance
+    refine_result = refine(build_chain(result.best, roadmap), list(inst.vehicles),
+                           cost_metric=inst.cost_metric)
+    objective = refined_objective(refine_result, result.best, inst.alpha, inst.n_vehicles)
+    return result, refine_result, objective
 
 
 def cmd_solve(args) -> int:
+    if args.refine and args.method != "ma":
+        raise UsageError(f"--refine applies only to --method ma, not {args.method}")
     inst = Instance.from_json(args.instance.read_text())
     if args.nin is not None and args.nin != inst.nin_enabled:
         inst = Instance.from_json(json.dumps({**json.loads(inst.to_json()), "nin_enabled": args.nin}))
@@ -227,8 +211,7 @@ def cmd_solve(args) -> int:
         print(report.summary())
         return EXIT_OK
 
-    chains = None
-    history_json = None
+    history_json = refine_result = None
     if args.method == "oracle":
         tourset = exact.solve_bruteforce(roadmap)
         report = RunReport(
@@ -236,12 +219,26 @@ def cmd_solve(args) -> int:
             method="ORACLE",
             wall_time_s=time.monotonic() - t0,
             objective=tourset.objective,
-            per_vehicle_cost=list(tourset.per_vehicle_cost),
         )
-        doc = tour_document(inst, roadmap, tourset, "ORACLE", tourset.objective)
     else:
-        report, doc, chains, history_json = _solve_ma(inst, roadmap, args)
-        tourset = None
+        params = MAParams(seed=inst.seed if args.seed is None else args.seed,
+                          time_limit_s=args.time_limit)
+        result, refine_result, objective = _run_ma(roadmap, params, args.refine)
+        tourset = result.best
+        method = "MA-NIN" if inst.nin_enabled else "MA-noNIN"
+        if args.refine:
+            method = "MA-NIN-PR"
+        report = RunReport(
+            instance_fingerprint=fingerprint(inst),
+            method=method,
+            wall_time_s=result.wall_time_s,
+            objective=objective,
+            generations=result.generations,
+            termination_reason=result.termination_reason,
+        )
+        history_json = result.history_json()
+    doc = tour_document(inst, roadmap, tourset, report.method, report.objective,
+                        refine_result)
 
     print(report.summary())
     if args.out:
@@ -252,31 +249,13 @@ def cmd_solve(args) -> int:
             history_path.write_text(history_json + "\n")
             print(f"wrote {history_path}")
     if args.svg:
-        if chains is not None:
-            svg = render_solution(inst, roadmap, chains=chains)
+        if refine_result is not None:
+            svg = render_solution(inst, roadmap, chains=refine_result.chains)
         else:
-            ts = tourset
-            if ts is None:
-                ts = _tourset_from_doc(doc, roadmap)
-            svg = render_solution(inst, roadmap, tourset=ts)
+            svg = render_solution(inst, roadmap, tourset=tourset)
         args.svg.write_text(svg)
         print(f"wrote {args.svg}")
     return EXIT_OK
-
-
-def _tourset_from_doc(doc: dict, roadmap: Roadmap) -> TourSet:
-    """Rebuild a TourSet from a tour document (for drawing)."""
-    tours = []
-    for ventry in doc["vehicles"]:
-        veh_id = ventry["id"]
-        ids = []
-        for node in ventry["nodes"]:
-            ids.append(roadmap.cluster_ids[(veh_id, node["cluster"])][node["sample"] - 1])
-        tours.append(ids)
-    veh_ids = [v.id for v in roadmap.instance.vehicles]
-    costs = tuple(roadmap.tour_cost(k, t) for k, t in zip(veh_ids, tours))
-    return TourSet(tuple(tuple(t) for t in tours), costs,
-                   evaluate(costs, roadmap.instance.alpha))
 
 
 def cmd_bench(args) -> int:
@@ -346,12 +325,7 @@ def _bench_cell(m, s, method, seed, velocity, alpha, sensing, metric):
     if method == "ORACLE":
         ts = exact.solve_bruteforce(roadmap)
         return ts.objective, time.monotonic() - t0
-    result = memetic.run(roadmap, MAParams(seed=seed))
-    objective = result.best_cost
-    if method.endswith("-PR"):
-        chains = build_chain(result.best, roadmap)
-        rr = refine(chains, list(inst.vehicles), cost_metric=metric)
-        objective = refined_objective(rr, result.best, alpha, m)
+    _, _, objective = _run_ma(roadmap, MAParams(seed=seed), method.endswith("-PR"))
     return objective, time.monotonic() - t0
 
 

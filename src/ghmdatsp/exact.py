@@ -14,7 +14,7 @@ and is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .memetic import TourSet, evaluate
 from .roadmap import DEPOT, TERMINAL, Roadmap
@@ -36,7 +36,6 @@ class MilpModel:
     constraints: list[tuple[str, dict[str, float], str, float]]
     binaries: list[str]
     continuous: list[str]
-    var_meta: dict[str, tuple] = field(default_factory=dict)
 
     def variables(self) -> list[str]:
         return self.binaries + self.continuous
@@ -91,13 +90,12 @@ def _ninvar(t: int, s: int) -> str:
 
 
 def _vehicle_edges(roadmap: Roadmap, veh_id: int):
-    """Permitted (from, to) global-id pairs with finite cost for a vehicle."""
+    """Permitted (from, to, cost, x-variable name) edges of a vehicle."""
     locals_ = [s for s in roadmap.nodes if s.vehicle == veh_id]
-    mat = roadmap.cost[veh_id]
-    for i, a in enumerate(locals_):
-        for j, b in enumerate(locals_):
-            if math.isfinite(mat[i, j]):
-                yield a.id, b.id, float(mat[i, j])
+    for a, row in zip(locals_, roadmap.cost_lists[veh_id]):
+        for b, c in zip(locals_, row):
+            if math.isfinite(c):
+                yield a.id, b.id, c, _xvar(a.id, b.id)
 
 
 def export_milp(roadmap: Roadmap, alpha: float | None = None) -> MilpModel:
@@ -119,23 +117,22 @@ def export_milp(roadmap: Roadmap, alpha: float | None = None) -> MilpModel:
 
     for s in roadmap.nodes:
         binaries.append(_yvar(s.id))
-    edge_cost: dict[int, list[tuple[int, int, float]]] = {}
+    edges: dict[int, list[tuple[int, int, float, str]]] = {}
     for veh in inst.vehicles:
-        edge_cost[veh.id] = list(_vehicle_edges(roadmap, veh.id))
-        for a, b, _ in edge_cost[veh.id]:
-            binaries.append(_xvar(a, b))
+        edges[veh.id] = list(_vehicle_edges(roadmap, veh.id))
+        binaries.extend(x for _, _, _, x in edges[veh.id])
     for t, nodes in roadmap.nin_task_to_nodes.items():
         for s in sorted(nodes):
             binaries.append(_ninvar(t, s))
 
     for veh in inst.vehicles:
-        for a, b, c in edge_cost[veh.id]:
-            objective[_xvar(a, b)] = objective.get(_xvar(a, b), 0.0) + alpha * c / m
+        for _, _, c, x in edges[veh.id]:
+            objective[x] = alpha * c / m
     objective["z"] = 1.0 - alpha
 
     # z >= Cost_k for every vehicle
     for veh in inst.vehicles:
-        row = {_xvar(a, b): c for a, b, c in edge_cost[veh.id]}
+        row = {x: c for _, _, c, x in edges[veh.id]}
         row["z"] = -1.0
         constraints.append((f"maxcost_v{veh.id}", row, "<=", 0.0))
 
@@ -165,9 +162,9 @@ def export_milp(roadmap: Roadmap, alpha: float | None = None) -> MilpModel:
     out_of: dict[int, dict[str, float]] = {}
     into: dict[int, dict[str, float]] = {}
     for veh in inst.vehicles:
-        for a, b, _ in edge_cost[veh.id]:
-            out_of.setdefault(a, {})[_xvar(a, b)] = 1.0
-            into.setdefault(b, {})[_xvar(a, b)] = 1.0
+        for a, b, _, x in edges[veh.id]:
+            out_of.setdefault(a, {})[x] = 1.0
+            into.setdefault(b, {})[x] = 1.0
     for s in roadmap.nodes:
         if s.cluster != TERMINAL:
             row = dict(out_of.get(s.id, {}))
@@ -178,11 +175,7 @@ def export_milp(roadmap: Roadmap, alpha: float | None = None) -> MilpModel:
             row[_yvar(s.id)] = -1.0
             constraints.append((f"deg_in_{s.id}", row, "=", 0.0))
 
-    model = MilpModel(objective, constraints, binaries, ["z"])
-    for veh in inst.vehicles:
-        for a, b, c in edge_cost[veh.id]:
-            model.var_meta[_xvar(a, b)] = (veh.id, a, b, c)
-    return model
+    return MilpModel(objective, constraints, binaries, ["z"])
 
 
 @dataclass
@@ -343,8 +336,7 @@ def enumeration_size(n_tasks: int, n_vehicles: int, samples: int) -> float:
     return total
 
 
-def solve_bruteforce(roadmap: Roadmap, alpha: float | None = None,
-                     leaf_limit: float = 1e8) -> TourSet:
+def solve_bruteforce(roadmap: Roadmap, leaf_limit: float = 1e8) -> TourSet:
     """Exact minimizer over every assignment, sample choice and visit order.
 
     Tasks may be left unassigned only when a visited node necessarily
@@ -353,8 +345,6 @@ def solve_bruteforce(roadmap: Roadmap, alpha: float | None = None,
     enumeration bound exceeds ``leaf_limit``.
     """
     inst = roadmap.instance
-    if alpha is None:
-        alpha = inst.alpha
     bound = enumeration_size(inst.n_tasks, inst.n_vehicles, inst.samples_per_cluster)
     if bound > leaf_limit:
         raise SizeLimitError(f"enumeration needs ~{bound:.3g} leaves > limit {leaf_limit:.3g}")
@@ -373,19 +363,15 @@ def solve_bruteforce(roadmap: Roadmap, alpha: float | None = None,
     depot = {k: roadmap.cluster_ids[(k, DEPOT)][0] for k in veh_ids}
     term = {k: roadmap.cluster_ids[(k, TERMINAL)][0] for k in veh_ids}
 
-    best: list = [math.inf, None]  # objective, tours
-
-    def final_cost(tours):
-        costs = [roadmap.tour_cost(k, tour) for k, tour in zip(veh_ids, tours)]
-        return evaluate(costs, alpha, m)
+    best: list = [math.inf, None]  # objective, TourSet
 
     def consider(tours):
-        obj = final_cost(tours)
-        key = tuple(tuple(t) for t in tours)
+        ts = TourSet.from_tours(tours, roadmap)
+        obj = ts.objective
         if obj < best[0] - 1e-12 or (abs(obj - best[0]) <= 1e-12 and
-                                     (best[1] is None or key < best[1])):
+                                     (best[1] is None or ts.tours < best[1].tours)):
             best[0] = obj
-            best[1] = key
+            best[1] = ts
 
     def orders(tours, partial_costs, vi, remaining):
         """Extend vehicle vi's tour with every order of its remaining tasks."""
@@ -401,7 +387,7 @@ def solve_bruteforce(roadmap: Roadmap, alpha: float | None = None,
             step = roadmap.edge_cost(k, tour[-1], node)
             partial_costs[vi] += step
             # blended objective only grows as legs append, so prune on it
-            lower = evaluate([c for c in partial_costs], alpha, m)
+            lower = evaluate(partial_costs, inst.alpha, m)
             if lower < best[0] + 1e-12:
                 tour.append(node)
                 remaining.remove(node)
@@ -441,6 +427,4 @@ def solve_bruteforce(roadmap: Roadmap, alpha: float | None = None,
     skipped: list[int] = []
     assign(0, [])
 
-    tours = [list(t) for t in best[1]]
-    costs = tuple(roadmap.tour_cost(k, t) for k, t in zip(veh_ids, tours))
-    return TourSet(tuple(tuple(t) for t in tours), costs, evaluate(costs, alpha, m))
+    return best[1]

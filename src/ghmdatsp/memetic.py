@@ -163,6 +163,13 @@ class TourSet:
     objective: float
     deleted: tuple[int, ...] = ()
 
+    @classmethod
+    def from_tours(cls, tours, roadmap: Roadmap, deleted=()) -> "TourSet":
+        """Cost one node-id tour per vehicle and blend the costs."""
+        costs = tuple(roadmap.tour_cost(veh, tour) for veh, tour in zip(roadmap.vehicle_ids, tours))
+        return cls(tuple(tuple(t) for t in tours), costs,
+                   evaluate(costs, roadmap.instance.alpha), tuple(deleted))
+
 
 def evaluate(per_vehicle_cost, alpha: float, m: int | None = None) -> float:
     """Blend of mean and max vehicle cost: alpha*mean + (1-alpha)*max."""
@@ -172,14 +179,14 @@ def evaluate(per_vehicle_cost, alpha: float, m: int | None = None) -> float:
     return alpha * (sum(costs) / m) + (1.0 - alpha) * max(costs)
 
 
-def _decode_node_ids(chrom: Chromosome, roadmap: Roadmap) -> list[list[int]]:
-    """Node-id tours per vehicle, without costs (hot path, no validation)."""
+def _decode(chrom: Chromosome, roadmap: Roadmap, prune: bool) -> TourSet:
+    """Split into node-id tours per vehicle, prune if asked, then cost
+    (hot path, no validation)."""
     ids_by_veh = roadmap.ids_by_vehicle
     tours = []
-    veh_ids = roadmap.vehicle_ids
     segments = _segments(chrom.genes)
     payloads = _payloads_in_order(chrom.genes)
-    for veh, payload, seg in zip(veh_ids, payloads, segments):
+    for veh, payload, seg in zip(roadmap.vehicle_ids, payloads, segments):
         ids = ids_by_veh[veh]
         d_idx, t_idx = payload
         tour = [ids[DEPOT][d_idx - 1]]
@@ -187,20 +194,16 @@ def _decode_node_ids(chrom: Chromosome, roadmap: Roadmap) -> list[list[int]]:
             tour.append(ids[g.cluster][g.sample - 1])
         tour.append(ids[TERMINAL][t_idx - 1])
         tours.append(tour)
-    return tours
-
-
-def _tourset_from_ids(tours, roadmap: Roadmap, deleted=()) -> TourSet:
-    veh_ids = roadmap.vehicle_ids
-    costs = tuple(roadmap.tour_cost(veh, tour) for veh, tour in zip(veh_ids, tours))
-    obj = evaluate(costs, roadmap.instance.alpha)
-    return TourSet(tuple(tuple(t) for t in tours), costs, obj, tuple(deleted))
+    deleted = ()
+    if prune:
+        tours, deleted = _nin_reduce(tours, roadmap)
+    return TourSet.from_tours(tours, roadmap, deleted)
 
 
 def decode(chrom: Chromosome, roadmap: Roadmap) -> TourSet:
     """Split the chromosome into per-vehicle tours and cost them."""
     validate_chromosome(chrom, roadmap.n_tasks, roadmap.n_vehicles, roadmap)
-    return _tourset_from_ids(_decode_node_ids(chrom, roadmap), roadmap)
+    return _decode(chrom, roadmap, False)
 
 
 def decode_nin(chrom: Chromosome, roadmap: Roadmap) -> TourSet:
@@ -213,9 +216,7 @@ def decode_nin(chrom: Chromosome, roadmap: Roadmap) -> TourSet:
     stopping as soon as the chosen deletion would empty any basket.
     """
     validate_chromosome(chrom, roadmap.n_tasks, roadmap.n_vehicles, roadmap)
-    tours = _decode_node_ids(chrom, roadmap)
-    reduced, deleted = _nin_reduce(tours, roadmap)
-    return _tourset_from_ids(reduced, roadmap, deleted)
+    return _decode(chrom, roadmap, True)
 
 
 def _nin_reduce(tours: list[list[int]], roadmap: Roadmap):
@@ -304,12 +305,7 @@ class Evaluator:
     def tours(self, chrom: Chromosome) -> TourSet:
         if chrom.cached_tours is None:
             self.evaluations += 1
-            ids = _decode_node_ids(chrom, self.roadmap)
-            if self.use_nin:
-                ids, deleted = _nin_reduce(ids, self.roadmap)
-            else:
-                deleted = ()
-            ts = _tourset_from_ids(ids, self.roadmap, deleted)
+            ts = _decode(chrom, self.roadmap, self.use_nin)
             chrom.cached_tours = ts
             chrom.cached_cost = ts.objective
         return chrom.cached_tours
@@ -350,6 +346,10 @@ class MAParams:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
+
+
+def _out_of_time(params: MAParams, t0: float) -> bool:
+    return params.time_limit_s is not None and time.monotonic() - t0 > params.time_limit_s
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +444,9 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
     nin_of = rm.nin_node_to_tasks
     node_by_id = rm.node_by_id
     cluster_ids = rm.cluster_ids
-    cost_lists = rm._cost_lists
+    cost_lists = rm.cost_lists
     local = rm.local_index
-    veh_ids = [v.id for v in rm.instance.vehicles]
+    veh_ids = rm.vehicle_ids
 
     tours = [list(t) for t in ts.tours]
     cover = {t.id: 0 for t in rm.instance.tasks}
@@ -513,11 +513,6 @@ class ImproveStats:
         "global_2opt": 0, "local_2opt": 0, "task_swap": 0, "sample_swap": 0})
     accepts: dict = field(default_factory=lambda: {
         "global_2opt": 0, "local_2opt": 0, "task_swap": 0, "sample_swap": 0})
-
-    def merge(self, other: "ImproveStats") -> None:
-        for k in self.attempts:
-            self.attempts[k] += other.attempts[k]
-            self.accepts[k] += other.accepts[k]
 
 
 def _try_global(chrom, ev, rng, stats):
@@ -605,25 +600,11 @@ def improve(chrom: Chromosome, level: str, params: MAParams, ev: Evaluator,
 def random_chromosome(roadmap: Roadmap, rng: random.Random) -> Chromosome:
     """Uniform task permutation, random vehicle split, random samples."""
     n, m = roadmap.n_tasks, roadmap.n_vehicles
-    spc = {}
     order = list(range(1, n + 1))
     rng.shuffle(order)
     cuts = sorted(rng.randint(0, n) for _ in range(m - 1))
     bounds = [0, *cuts, n]
-    genes: list[Gene] = []
-    veh_ids = [v.id for v in roadmap.instance.vehicles]
-    for vi, veh in enumerate(veh_ids):
-        if vi > 0:
-            genes.append(delim_gene(None))
-        d_n = len(roadmap.cluster_nodes(veh, DEPOT))
-        t_n = len(roadmap.cluster_nodes(veh, TERMINAL))
-        genes.append(delim_gene((rng.randint(1, d_n), rng.randint(1, t_n))))
-        for t in order[bounds[vi]:bounds[vi + 1]]:
-            size = spc.get((veh, t))
-            if size is None:
-                size = spc[(veh, t)] = len(roadmap.cluster_nodes(veh, t))
-            genes.append(task_gene(t, rng.randint(1, size)))
-    return Chromosome(genes)
+    return _chromosome_from_orders(roadmap, rng, [order[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
 def _voronoi_orders(roadmap: Roadmap) -> list[list[int]]:
@@ -685,9 +666,15 @@ def voronoi_chromosome(roadmap: Roadmap, rng: random.Random,
     """Depot-partitioned seeding with random sample indices."""
     if orders is None:
         orders = _voronoi_orders(roadmap)
+    return _chromosome_from_orders(roadmap, rng, orders)
+
+
+def _chromosome_from_orders(roadmap: Roadmap, rng: random.Random,
+                            orders: list[list[int]]) -> Chromosome:
+    """Genes for per-vehicle task orders; depot, terminal and task samples
+    are drawn at random, vehicle by vehicle."""
     genes: list[Gene] = []
-    veh_ids = [v.id for v in roadmap.instance.vehicles]
-    for vi, veh in enumerate(veh_ids):
+    for vi, veh in enumerate(roadmap.vehicle_ids):
         if vi > 0:
             genes.append(delim_gene(None))
         d_n = len(roadmap.cluster_nodes(veh, DEPOT))
@@ -701,9 +688,14 @@ def voronoi_chromosome(roadmap: Roadmap, rng: random.Random,
 
 def init_population(roadmap: Roadmap, params: MAParams, rng: random.Random,
                     ev: Evaluator, stats: ImproveStats | None = None) -> list[Chromosome]:
-    """Half random, half depot-partitioned; every member gets Level-I polish."""
+    """Half random, half depot-partitioned; every member gets Level-I polish.
+
+    Once ``params.time_limit_s`` has passed since the call began, the
+    members still to be made are kept unpolished.
+    """
     if params.population_size < 2:
         raise ValueError("population_size must be >= 2")
+    t0 = time.monotonic()
     orders = _voronoi_orders(roadmap)
     pop = []
     n_random = params.population_size // 2
@@ -712,7 +704,9 @@ def init_population(roadmap: Roadmap, params: MAParams, rng: random.Random,
             chrom = random_chromosome(roadmap, rng)
         else:
             chrom = voronoi_chromosome(roadmap, rng, orders)
-        pop.append(improve(chrom, "I", params, ev, rng, stats))
+        if not _out_of_time(params, t0):
+            chrom = improve(chrom, "I", params, ev, rng, stats)
+        pop.append(chrom)
     pop.sort(key=ev.cost)
     return pop
 
@@ -877,7 +871,11 @@ def run(roadmap: Roadmap, params: MAParams) -> MAResult:
     reason = "max_generations"
     generation = 0
 
-    for generation in range(1, params.max_generations + 1):
+    while generation < params.max_generations:
+        if _out_of_time(params, t0):
+            reason = "time_limit"
+            break
+        generation += 1
         threshold = ev.cost(pop[rank_cut - 1])
         nxt = pop[:n_elite]
         n_children = round(params.offspring_share * (n_pop - n_elite))
@@ -912,9 +910,6 @@ def run(roadmap: Roadmap, params: MAParams) -> MAResult:
             stagnation += 1
         if stagnation >= params.stagnation_limit:
             reason = "stagnation"
-            break
-        if params.time_limit_s is not None and time.monotonic() - t0 > params.time_limit_s:
-            reason = "time_limit"
             break
 
     best_chrom = pop[0]

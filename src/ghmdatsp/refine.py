@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 
 from .geometry import Config, Disk, dubins_shortest_path, sample_path
 from .instance import VehicleSpec
-from .memetic import TourSet
+from .memetic import TourSet, evaluate
 from .roadmap import Roadmap
 
 
@@ -280,11 +280,13 @@ def refine(chains: list[WaypointChain], vehicles: list[VehicleSpec],
     return RefineResult(chains, costs, sweeps, converged, trace)
 
 
+def refined_vehicle_costs(result: RefineResult, tourset: TourSet) -> list[float]:
+    """Per-vehicle cost after refinement: the chain cost where the vehicle
+    has a chain, the node-tour cost where it has none (an empty tour)."""
+    refined = {c.vehicle_id: cost for c, cost in zip(result.chains, result.per_chain_cost)}
+    return [refined.get(k, cost) for k, cost in enumerate(tourset.per_vehicle_cost, start=1)]
+
+
 def refined_objective(result: RefineResult, tourset: TourSet, alpha: float, m: int) -> float:
     """Objective after refinement: refined chains plus untouched empty tours."""
-    per_vehicle = list(tourset.per_vehicle_cost)
-    refined = {c.vehicle_id: cost for c, cost in zip(result.chains, result.per_chain_cost)}
-    out = []
-    for k, cost in enumerate(per_vehicle, start=1):
-        out.append(refined.get(k, cost))
-    return alpha * (sum(out) / m) + (1.0 - alpha) * max(out)
+    return evaluate(refined_vehicle_costs(result, tourset), alpha, m)

@@ -155,7 +155,7 @@ class Roadmap:
     cluster_ids: dict[tuple[int, int], list[int]] = field(init=False)
     ids_by_vehicle: dict[int, dict[int, list[int]]] = field(init=False)
     vehicle_ids: tuple[int, ...] = field(init=False)
-    _cost_lists: dict[int, list[list[float]]] = field(init=False)
+    cost_lists: dict[int, list[list[float]]] = field(init=False)
 
     def __post_init__(self):
         self.vehicle_ids = tuple(v.id for v in self.instance.vehicles)
@@ -174,7 +174,7 @@ class Roadmap:
         for (veh, cluster), ids in self.cluster_ids.items():
             self.ids_by_vehicle.setdefault(veh, {})[cluster] = ids
         # plain nested lists beat numpy scalar indexing in the hot loops
-        self._cost_lists = {k: m.tolist() for k, m in self.cost.items()}
+        self.cost_lists = {k: m.tolist() for k, m in self.cost.items()}
 
     @property
     def n_tasks(self) -> int:
@@ -192,11 +192,11 @@ class Roadmap:
 
     def edge_cost(self, vehicle: int, a: int, b: int) -> float:
         """Cost between two global node ids of the same vehicle."""
-        return self._cost_lists[vehicle][self.local_index[a]][self.local_index[b]]
+        return self.cost_lists[vehicle][self.local_index[a]][self.local_index[b]]
 
     def tour_cost(self, vehicle: int, node_ids: list[int]) -> float:
         """Sum of edge costs along an ordered node-id sequence."""
-        cl = self._cost_lists[vehicle]
+        cl = self.cost_lists[vehicle]
         li = self.local_index
         total = 0.0
         prev = li[node_ids[0]]

@@ -129,6 +129,15 @@ class TestSolve:
         _, path = tiny_file
         assert main(["solve", str(path), "--no-nin", "--refine"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("method", ["oracle", "milp-export"])
+    def test_refine_with_other_method_is_usage_error(self, tiny_file, tmp_path, method, capsys):
+        _, path = tiny_file
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--method", method, "--refine",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "--refine" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nin_flag_overrides_instance(self, tmp_path, capsys):
         inst = random_tiny_instance(9)
         path = tmp_path / "t.json"

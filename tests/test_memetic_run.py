@@ -152,3 +152,15 @@ class TestRun:
                                stagnation_limit=5000, seed=5, time_limit_s=1.5))
         assert res.termination_reason == "time_limit"
         assert res.wall_time_s < 10.0
+
+    def test_spent_budget_skips_init_polish_and_generations(self, mid_instance):
+        inst, rm = mid_instance
+        res = run(rm, MAParams(population_size=40, seed=5, time_limit_s=1e-9))
+        assert res.termination_reason == "time_limit"
+        assert res.generations == 0
+        assert len(res.history) == 1
+        # no member was polished, and the population kept its size
+        assert sum(res.op_stats.attempts.values()) == 0
+        assert len(res.final_population_costs) == 40
+        assert coverage_ok(res.best, rm)
+        assert res.wall_time_s < 10.0
