@@ -231,7 +231,7 @@ def cmd_solve(args) -> int:
         report = RunReport(
             instance_fingerprint=fingerprint(inst),
             method=method,
-            wall_time_s=result.wall_time_s,
+            wall_time_s=time.monotonic() - t0,
             objective=objective,
             generations=result.generations,
             termination_reason=result.termination_reason,

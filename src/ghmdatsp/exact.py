@@ -25,7 +25,14 @@ class MalformedSolutionError(ValueError):
 
 
 class SizeLimitError(RuntimeError):
-    """The enumeration would exceed the configured leaf budget."""
+    """The enumeration would exceed the leaf budget."""
+
+
+#: Most leaves the brute-force oracle will enumerate.
+LEAF_LIMIT = 1e8
+
+#: Slack allowed when :meth:`MilpModel.check_assignment` tests a row.
+ROW_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -40,14 +47,14 @@ class MilpModel:
     def variables(self) -> list[str]:
         return self.binaries + self.continuous
 
-    def check_assignment(self, values: dict[str, float], tol: float = 1e-9) -> list[str]:
+    def check_assignment(self, values: dict[str, float]) -> list[str]:
         """Names of constraint rows violated by ``values`` (missing vars = 0)."""
         violated = []
         for name, coeffs, sense, rhs in self.constraints:
             lhs = sum(c * values.get(v, 0.0) for v, c in coeffs.items())
-            ok = (abs(lhs - rhs) <= tol if sense == "=" else
-                  lhs <= rhs + tol if sense == "<=" else
-                  lhs >= rhs - tol)
+            ok = (abs(lhs - rhs) <= ROW_TOLERANCE if sense == "=" else
+                  lhs <= rhs + ROW_TOLERANCE if sense == "<=" else
+                  lhs >= rhs - ROW_TOLERANCE)
             if not ok:
                 violated.append(name)
         return violated
@@ -56,17 +63,9 @@ class MilpModel:
         return sum(c * values.get(v, 0.0) for v, c in self.objective.items())
 
     def to_lp_text(self) -> str:
-        def term(coef, var):
-            sign = "-" if coef < 0 else "+"
-            return f"{sign} {abs(coef):.12g} {var}"
-
-        lines = ["Minimize", " obj: " + " ".join(
-            term(c, v) for v, c in sorted(self.objective.items()) if c != 0.0).lstrip("+ ")]
+        lines = ["Minimize", " obj: " + _lp_sum(self.objective)]
         lines.append("Subject To")
-        for name, coeffs, sense, rhs in self.constraints:
-            body = " ".join(term(c, v) for v, c in sorted(coeffs.items()) if c != 0.0).lstrip("+ ")
-            op = {"=": "=", "<=": "<=", ">=": ">="}[sense]
-            lines.append(f" {name}: {body} {op} {rhs:.12g}")
+        lines.extend(" " + _lp_row(row) for row in self.constraints)
         lines.append("Bounds")
         for v in self.continuous:
             lines.append(f" 0 <= {v}")
@@ -75,6 +74,17 @@ class MilpModel:
             lines.append(" " + " ".join(self.binaries[i:i + 8]))
         lines.append("End")
         return "\n".join(lines) + "\n"
+
+
+def _lp_sum(coeffs: dict[str, float]) -> str:
+    """Nonzero terms in variable order, e.g. ``2 x_1 - 1 y_3``."""
+    return " ".join(f"{'-' if c < 0 else '+'} {abs(c):.12g} {v}"
+                    for v, c in sorted(coeffs.items()) if c != 0.0).lstrip("+ ")
+
+
+def _lp_row(row: tuple[str, dict[str, float], str, float]) -> str:
+    name, coeffs, sense, rhs = row
+    return f"{name}: {_lp_sum(coeffs)} {sense} {rhs:.12g}"
 
 
 def _yvar(s: int) -> str:
@@ -312,15 +322,7 @@ def subtour_cut_rows(subtours, roadmap: Roadmap) -> list[tuple[str, dict[str, fl
 
 def cut_rows_text(rows) -> str:
     """One Eq-style cut row per line, ready to append to a model by hand."""
-    def term(coef, var):
-        sign = "-" if coef < 0 else "+"
-        return f"{sign} {abs(coef):.12g} {var}"
-
-    lines = []
-    for name, coeffs, sense, rhs in rows:
-        body = " ".join(term(c, v) for v, c in sorted(coeffs.items()) if c != 0.0).lstrip("+ ")
-        lines.append(f"{name}: {body} {sense} {rhs:.12g}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(_lp_row(row) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +338,18 @@ def enumeration_size(n_tasks: int, n_vehicles: int, samples: int) -> float:
     return total
 
 
-def solve_bruteforce(roadmap: Roadmap, leaf_limit: float = 1e8) -> TourSet:
+def solve_bruteforce(roadmap: Roadmap) -> TourSet:
     """Exact minimizer over every assignment, sample choice and visit order.
 
     Tasks may be left unassigned only when a visited node necessarily
     crosses them.  Deterministic: ties break toward the lexicographically
     smallest tour encoding.  Raises :class:`SizeLimitError` when the
-    enumeration bound exceeds ``leaf_limit``.
+    enumeration bound exceeds :data:`LEAF_LIMIT`.
     """
     inst = roadmap.instance
     bound = enumeration_size(inst.n_tasks, inst.n_vehicles, inst.samples_per_cluster)
-    if bound > leaf_limit:
-        raise SizeLimitError(f"enumeration needs ~{bound:.3g} leaves > limit {leaf_limit:.3g}")
+    if bound > LEAF_LIMIT:
+        raise SizeLimitError(f"enumeration needs ~{bound:.3g} leaves > limit {LEAF_LIMIT:.3g}")
 
     veh_ids = [v.id for v in inst.vehicles]
     m = len(veh_ids)

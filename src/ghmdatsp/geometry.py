@@ -47,10 +47,6 @@ class Config:
     def __post_init__(self):
         object.__setattr__(self, "theta", norm_angle(self.theta))
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
     def distance_to(self, other: "Config") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
@@ -65,9 +61,6 @@ class Disk:
     def __post_init__(self):
         if self.radius <= 0.0:
             raise ValueError(f"disk radius must be positive, got {self.radius}")
-
-    def contains(self, point: tuple[float, float], tol: float = 0.0) -> bool:
-        return math.hypot(point[0] - self.center[0], point[1] - self.center[1]) <= self.radius + tol
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .roadmap import DEPOT, TERMINAL, Roadmap
 
@@ -98,30 +99,31 @@ def validate_chromosome(chrom: Chromosome, n: int, m: int, roadmap: Roadmap | No
         raise ChromosomeError(f"task clusters {sorted(clusters)} != 1..{n}")
     if roadmap is not None:
         veh_ids = [v.id for v in roadmap.instance.vehicles]
-        for veh, payload, genes in zip(veh_ids, _payloads_in_order(chrom.genes), _segments(chrom.genes)):
+        for veh, payload, positions in zip(veh_ids, _payloads_in_order(chrom.genes),
+                                           _vehicle_task_positions(chrom)):
             d_idx, t_idx = payload
             if not 1 <= d_idx <= len(roadmap.cluster_nodes(veh, DEPOT)):
                 raise ChromosomeError(f"vehicle {veh}: depot sample {d_idx} out of range")
             if not 1 <= t_idx <= len(roadmap.cluster_nodes(veh, TERMINAL)):
                 raise ChromosomeError(f"vehicle {veh}: terminal sample {t_idx} out of range")
-            for g in genes:
+            for g in map(chrom.genes.__getitem__, positions):
                 if not 1 <= g.sample <= len(roadmap.cluster_nodes(veh, g.cluster)):
                     raise ChromosomeError(
                         f"vehicle {veh}: cluster {g.cluster} sample {g.sample} out of range")
 
 
-def _segments(genes) -> list[list[Gene]]:
-    """Task genes per vehicle: split at even-numbered delimiters."""
-    segments = [[]]
+def _vehicle_task_positions(chrom: Chromosome) -> list[list[int]]:
+    """Task gene positions per vehicle: split at even-numbered delimiters."""
+    out = [[]]
     rank = 0
-    for g in genes:
-        if g.is_delim:
+    for pos, g in enumerate(chrom.genes):
+        if g.cluster == 0:  # g.is_delim, inlined: every decode runs this walk
             rank += 1
             if rank % 2 == 0:
-                segments.append([])
-            continue
-        segments[-1].append(g)
-    return segments
+                out.append([])
+        else:
+            out[-1].append(pos)
+    return out
 
 
 def _payloads_in_order(genes) -> list[tuple[int, int]]:
@@ -183,14 +185,14 @@ def _decode(chrom: Chromosome, roadmap: Roadmap, prune: bool) -> TourSet:
     """Split into node-id tours per vehicle, prune if asked, then cost
     (hot path, no validation)."""
     ids_by_veh = roadmap.ids_by_vehicle
+    genes = chrom.genes
     tours = []
-    segments = _segments(chrom.genes)
-    payloads = _payloads_in_order(chrom.genes)
-    for veh, payload, seg in zip(roadmap.vehicle_ids, payloads, segments):
+    payloads = _payloads_in_order(genes)
+    for veh, payload, positions in zip(roadmap.vehicle_ids, payloads, _vehicle_task_positions(chrom)):
         ids = ids_by_veh[veh]
         d_idx, t_idx = payload
         tour = [ids[DEPOT][d_idx - 1]]
-        for g in seg:
+        for g in map(genes.__getitem__, positions):
             tour.append(ids[g.cluster][g.sample - 1])
         tour.append(ids[TERMINAL][t_idx - 1])
         tours.append(tour)
@@ -322,30 +324,24 @@ class Evaluator:
 
 @dataclass
 class MAParams:
-    """Knobs of the generational loop; defaults follow the tuned setup."""
+    """The run's budget and seed; the search's tuned shape is fixed as the
+    class constants below."""
 
     population_size: int = 100
-    elite_fraction: float = 0.10
-    selection_pressure: float = 4.0
-    crossover_p1_share: float = 0.60
-    offspring_share: float = 0.60
-    level2_rank_fraction: float = 0.10
-    task_swap_repeats_l1: int = 5
-    sample_swap_repeats_l2: int = 3
-    stagnation_streak_l2: int = 10
     max_generations: int = 500
     stagnation_limit: int = 50
-    duplicate_cost_epsilon: float = 1e-6
     time_limit_s: float | None = None
     seed: int = 0
 
-    def __post_init__(self):
-        if self.selection_pressure <= 1.0:
-            raise ValueError("selection_pressure must exceed 1")
-        for name in ("elite_fraction", "crossover_p1_share", "level2_rank_fraction"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
+    elite_fraction: ClassVar[float] = 0.10
+    selection_pressure: ClassVar[float] = 4.0
+    crossover_p1_share: ClassVar[float] = 0.60
+    offspring_share: ClassVar[float] = 0.60
+    level2_rank_fraction: ClassVar[float] = 0.10
+    task_swap_repeats_l1: ClassVar[int] = 5
+    sample_swap_repeats_l2: ClassVar[int] = 3
+    stagnation_streak_l2: ClassVar[int] = 10
+    duplicate_cost_epsilon: ClassVar[float] = 1e-6
 
 
 def _out_of_time(params: MAParams, t0: float) -> bool:
@@ -390,19 +386,6 @@ def reverse_vehicle_segment(chrom: Chromosome, vehicle_index: int, i: int, j: in
     for p, g in zip(window, reversed(picked)):
         genes[p] = g
     return Chromosome(genes)
-
-
-def _vehicle_task_positions(chrom: Chromosome) -> list[list[int]]:
-    out = [[]]
-    rank = 0
-    for pos, g in enumerate(chrom.genes):
-        if g.is_delim:
-            rank += 1
-            if rank % 2 == 0:
-                out.append([])
-        else:
-            out[-1].append(pos)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +510,13 @@ def _try_global(chrom, ev, rng, stats):
 
 
 def _try_local(chrom, ev, rng, stats):
-    eligible = [vi for vi, ps in enumerate(_vehicle_task_positions(chrom)) if len(ps) >= 2]
+    positions = _vehicle_task_positions(chrom)
+    eligible = [vi for vi, ps in enumerate(positions) if len(ps) >= 2]
     stats.attempts["local_2opt"] += 1
     if not eligible:
         return chrom
     vi = rng.choice(eligible)
-    count = len(_vehicle_task_positions(chrom)[vi])
+    count = len(positions[vi])
     i = rng.randint(1, count - 1)
     j = rng.randint(i + 1, count)
     out = local_2opt(chrom, vi, i, j, ev)

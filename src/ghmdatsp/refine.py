@@ -37,6 +37,15 @@ ENTRY_SPACING_FRACTION = 1.0 / 50.0
 #: Heading restarts for each single-state search (offsets from current).
 HEADING_RESTARTS = (0.0, math.pi / 4.0, -math.pi / 4.0, math.pi)
 
+#: A sweep that lowers the total cost by less than this share has converged.
+CONVERGENCE_THRESHOLD = 1e-4
+
+#: Heading edge of each initial simplex, in radians.
+SIMPLEX_HEADING_STEP = 0.6
+
+#: Cost evaluations allowed per simplex search.
+MAX_EVALUATIONS = 80
+
 
 @dataclass
 class ChainState:
@@ -62,14 +71,7 @@ class WaypointChain:
 
 @dataclass
 class RefineParams:
-    convergence_threshold: float = 1e-4  # relative cost change per sweep
     max_sweeps: int = 100
-    simplex_heading_step: float = 0.6
-    max_evaluations: int = 80
-
-    def __post_init__(self):
-        if self.convergence_threshold <= 0.0:
-            raise ValueError("convergence_threshold must be positive")
 
 
 @dataclass
@@ -181,8 +183,7 @@ def _project(disk: Disk, x: float, y: float) -> tuple[float, float]:
     return disk.center[0] + f * dx, disk.center[1] + f * dy
 
 
-def _optimize_state(chain: WaypointChain, idx: int, veh: VehicleSpec, metric: str,
-                    params: RefineParams) -> bool:
+def _optimize_state(chain: WaypointChain, idx: int, veh: VehicleSpec, metric: str) -> bool:
     """Minimize the legs touching state ``idx``; accept only strict gains."""
     states = chain.states
     state = states[idx]
@@ -202,7 +203,7 @@ def _optimize_state(chain: WaypointChain, idx: int, veh: VehicleSpec, metric: st
     cur_cfg = state.config
     best_cost = cost_of(cur_cfg)
     best_cfg = cur_cfg
-    opts = {"maxfev": params.max_evaluations, "xatol": 1e-7, "fatol": 1e-10}
+    opts = {"maxfev": MAX_EVALUATIONS, "xatol": 1e-7, "fatol": 1e-10}
 
     if state.kind in ("depot", "terminal"):
         x, y = cur_cfg.x, cur_cfg.y
@@ -213,7 +214,7 @@ def _optimize_state(chain: WaypointChain, idx: int, veh: VehicleSpec, metric: st
         for off in HEADING_RESTARTS:
             th0 = cur_cfg.theta + off
             res = minimize(fun, np.array([th0]), method="Nelder-Mead",
-                           options=opts | {"initial_simplex": [[th0], [th0 + params.simplex_heading_step]]})
+                           options=opts | {"initial_simplex": [[th0], [th0 + SIMPLEX_HEADING_STEP]]})
             if res.fun < best_cost:
                 best_cost = res.fun
                 best_cfg = Config(x, y, float(res.x[0]))
@@ -230,7 +231,7 @@ def _optimize_state(chain: WaypointChain, idx: int, veh: VehicleSpec, metric: st
             simplex = [x0,
                        x0 + [step, 0.0, 0.0],
                        x0 + [0.0, step, 0.0],
-                       x0 + [0.0, 0.0, params.simplex_heading_step]]
+                       x0 + [0.0, 0.0, SIMPLEX_HEADING_STEP]]
             res = minimize(fun, x0, method="Nelder-Mead",
                            options=opts | {"initial_simplex": simplex})
             if res.fun < best_cost:
@@ -251,7 +252,7 @@ def refine(chains: list[WaypointChain], vehicles: list[VehicleSpec],
     Each sweep optimizes every odd-indexed state of every chain with its
     neighbours fixed, then every even-indexed state.  Costs never increase;
     iteration stops when one full sweep improves the total by less than
-    ``convergence_threshold`` (relative) or ``max_sweeps`` is reached.
+    ``CONVERGENCE_THRESHOLD`` (relative) or ``max_sweeps`` is reached.
     """
     if params is None:
         params = RefineParams()
@@ -270,10 +271,10 @@ def refine(chains: list[WaypointChain], vehicles: list[VehicleSpec],
             for chain in chains:
                 veh = specs[chain.vehicle_id]
                 for idx in range(parity, len(chain.states), 2):
-                    _optimize_state(chain, idx, veh, cost_metric, params)
+                    _optimize_state(chain, idx, veh, cost_metric)
             trace.append(total())
         now = trace[-1]
-        if before - now < params.convergence_threshold * max(before, 1e-12):
+        if before - now < CONVERGENCE_THRESHOLD * max(before, 1e-12):
             converged = True
             break
     costs = [chain_cost(c, specs[c.vehicle_id], cost_metric) for c in chains]

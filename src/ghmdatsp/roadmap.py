@@ -49,7 +49,7 @@ class SampleNode:
         return self.cluster > 0
 
 
-def generate_samples(instance: Instance, seed: int | None = None) -> list[SampleNode]:
+def generate_samples(instance: Instance) -> list[SampleNode]:
     """Draw the sample nodes for every (vehicle, cluster) pair.
 
     Task-cluster positions are uniform over the task disk with uniform
@@ -58,7 +58,7 @@ def generate_samples(instance: Instance, seed: int | None = None) -> list[Sample
     """
     if instance.samples_per_cluster < 1:
         raise ValueError("samples_per_cluster must be >= 1")
-    rng = np.random.default_rng(instance.seed if seed is None else seed)
+    rng = np.random.default_rng(instance.seed)
     nodes: list[SampleNode] = []
     nid = 0
     for veh in instance.vehicles:
@@ -231,10 +231,10 @@ class Roadmap:
         return json.dumps(doc, sort_keys=True)
 
 
-def build_roadmap(instance: Instance, seed: int | None = None) -> Roadmap:
+def build_roadmap(instance: Instance) -> Roadmap:
     """Generate samples, costs and NIN tables for ``instance``."""
     instance.validate()
-    nodes = generate_samples(instance, seed)
+    nodes = generate_samples(instance)
     cost = build_cost_matrix(nodes, instance)
     if instance.nin_enabled:
         s_nin, t_nin = build_nin_tables(nodes, instance)

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 import types
 import xml.etree.ElementTree as ET
@@ -144,6 +145,22 @@ class TestSolve:
         path.write_text(inst.to_json())
         assert main(["solve", str(path), "--method", "ma", "--no-nin"]) == EXIT_OK
         assert "MA-noNIN" in capsys.readouterr().out
+
+    def test_ma_wall_time_includes_roadmap_build(self, tiny_file, monkeypatch, capsys):
+        # the sleep dwarfs a 0.01 s search, so a wall= that left out set-up
+        # would read far below it
+        delay = 1.0
+        real_build = cli.build_roadmap
+
+        def slow_build(inst):
+            time.sleep(delay)
+            return real_build(inst)
+
+        monkeypatch.setattr(cli, "build_roadmap", slow_build)
+        _, path = tiny_file
+        assert main(["solve", str(path), "--method", "ma", "--time-limit", "0.01"]) == EXIT_OK
+        wall = re.search(r"wall=([0-9.]+)s", capsys.readouterr().out)
+        assert float(wall.group(1)) >= delay
 
 
 class TestBench:
