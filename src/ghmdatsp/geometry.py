@@ -17,10 +17,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: The six Dubins words.  Each letter is L (left arc), R (right arc) or
-#: S (straight); CCC words exist only when the poses are close together.
-DUBINS_WORDS = ("LSL", "RSR", "LSR", "RSL", "RLR", "LRL")
-
 
 def norm_angle(theta: float) -> float:
     """Normalize an angle into [0, 2*pi)."""
@@ -105,72 +101,42 @@ def _apply_segment(cfg: Config, letter: str, length: float, r: float) -> Config:
 
 # Closed-form solutions in the normalized frame.  alpha/beta are the start
 # and goal headings relative to the baseline joining the two positions and
-# d is the center distance divided by r_min.  Each returns normalized
-# (t, p, q) segment lengths (arcs in radians, straight in units of r_min)
-# or None when the word is infeasible for the pair.
+# d is the center distance divided by r_min.  Yields the word and its
+# normalized (t, p, q) segment lengths (arcs in radians, straight in units
+# of r_min) for every word feasible for the pair, in the order LSL, RSR,
+# LSR, RSL, RLR, LRL.
 
-def _lsl(alpha, beta, d):
+def _dubins_words(alpha, beta, d):
     sa, sb, ca, cb = math.sin(alpha), math.sin(beta), math.cos(alpha), math.cos(beta)
-    p_sq = 2.0 + d * d - 2.0 * math.cos(alpha - beta) + 2.0 * d * (sa - sb)
-    if p_sq < 0.0:
-        return None
-    tmp = math.atan2(cb - ca, d + sa - sb)
-    return (norm_angle(-alpha + tmp), math.sqrt(p_sq), norm_angle(beta - tmp))
-
-
-def _rsr(alpha, beta, d):
-    sa, sb, ca, cb = math.sin(alpha), math.sin(beta), math.cos(alpha), math.cos(beta)
-    p_sq = 2.0 + d * d - 2.0 * math.cos(alpha - beta) + 2.0 * d * (sb - sa)
-    if p_sq < 0.0:
-        return None
-    tmp = math.atan2(ca - cb, d - sa + sb)
-    return (norm_angle(alpha - tmp), math.sqrt(p_sq), norm_angle(-beta + tmp))
-
-
-def _lsr(alpha, beta, d):
-    sa, sb, ca, cb = math.sin(alpha), math.sin(beta), math.cos(alpha), math.cos(beta)
-    p_sq = -2.0 + d * d + 2.0 * math.cos(alpha - beta) + 2.0 * d * (sa + sb)
-    if p_sq < 0.0:
-        return None
-    p = math.sqrt(p_sq)
-    tmp = math.atan2(-ca - cb, d + sa + sb) - math.atan2(-2.0, p)
-    return (norm_angle(-alpha + tmp), p, norm_angle(-norm_angle(beta) + tmp))
-
-
-def _rsl(alpha, beta, d):
-    sa, sb, ca, cb = math.sin(alpha), math.sin(beta), math.cos(alpha), math.cos(beta)
-    p_sq = d * d - 2.0 + 2.0 * math.cos(alpha - beta) - 2.0 * d * (sa + sb)
-    if p_sq < 0.0:
-        return None
-    p = math.sqrt(p_sq)
-    tmp = math.atan2(ca + cb, d - sa - sb) - math.atan2(2.0, p)
-    return (norm_angle(alpha - tmp), p, norm_angle(beta - tmp))
-
-
-def _rlr(alpha, beta, d):
-    sa, sb, ca, cb = math.sin(alpha), math.sin(beta), math.cos(alpha), math.cos(beta)
-    tmp = (6.0 - d * d + 2.0 * math.cos(alpha - beta) + 2.0 * d * (sa - sb)) / 8.0
-    if abs(tmp) > 1.0:
-        return None
-    p = norm_angle(TWO_PI - math.acos(tmp))
-    t = norm_angle(alpha - math.atan2(ca - cb, d - sa + sb) + p / 2.0)
-    return (t, p, norm_angle(alpha - beta - t + p))
-
-
-def _lrl(alpha, beta, d):
-    sa, sb, ca, cb = math.sin(alpha), math.sin(beta), math.cos(alpha), math.cos(beta)
-    tmp = (6.0 - d * d + 2.0 * math.cos(alpha - beta) + 2.0 * d * (sb - sa)) / 8.0
-    if abs(tmp) > 1.0:
-        return None
-    p = norm_angle(TWO_PI - math.acos(tmp))
-    t = norm_angle(-alpha - math.atan2(ca - cb, d + sa - sb) + p / 2.0)
-    return (t, p, norm_angle(norm_angle(beta) - alpha - t + p))
-
-
-_WORD_SOLVERS = {
-    "LSL": _lsl, "RSR": _rsr, "LSR": _lsr,
-    "RSL": _rsl, "RLR": _rlr, "LRL": _lrl,
-}
+    c_ab = math.cos(alpha - beta)
+    p_sq = 2.0 + d * d - 2.0 * c_ab + 2.0 * d * (sa - sb)
+    if p_sq >= 0.0:
+        tmp = math.atan2(cb - ca, d + sa - sb)
+        yield "LSL", (norm_angle(-alpha + tmp), math.sqrt(p_sq), norm_angle(beta - tmp))
+    p_sq = 2.0 + d * d - 2.0 * c_ab + 2.0 * d * (sb - sa)
+    if p_sq >= 0.0:
+        tmp = math.atan2(ca - cb, d - sa + sb)
+        yield "RSR", (norm_angle(alpha - tmp), math.sqrt(p_sq), norm_angle(-beta + tmp))
+    p_sq = -2.0 + d * d + 2.0 * c_ab + 2.0 * d * (sa + sb)
+    if p_sq >= 0.0:
+        p = math.sqrt(p_sq)
+        tmp = math.atan2(-ca - cb, d + sa + sb) - math.atan2(-2.0, p)
+        yield "LSR", (norm_angle(-alpha + tmp), p, norm_angle(-norm_angle(beta) + tmp))
+    p_sq = d * d - 2.0 + 2.0 * c_ab - 2.0 * d * (sa + sb)
+    if p_sq >= 0.0:
+        p = math.sqrt(p_sq)
+        tmp = math.atan2(ca + cb, d - sa - sb) - math.atan2(2.0, p)
+        yield "RSL", (norm_angle(alpha - tmp), p, norm_angle(beta - tmp))
+    tmp = (6.0 - d * d + 2.0 * c_ab + 2.0 * d * (sa - sb)) / 8.0
+    if abs(tmp) <= 1.0:
+        p = norm_angle(TWO_PI - math.acos(tmp))
+        t = norm_angle(alpha - math.atan2(ca - cb, d - sa + sb) + p / 2.0)
+        yield "RLR", (t, p, norm_angle(alpha - beta - t + p))
+    tmp = (6.0 - d * d + 2.0 * c_ab + 2.0 * d * (sb - sa)) / 8.0
+    if abs(tmp) <= 1.0:
+        p = norm_angle(TWO_PI - math.acos(tmp))
+        t = norm_angle(-alpha - math.atan2(ca - cb, d + sa - sb) + p / 2.0)
+        yield "LRL", (t, p, norm_angle(norm_angle(beta) - alpha - t + p))
 
 
 def dubins_shortest_path(start: Config, end: Config, r_min: float) -> DubinsPath:
@@ -194,11 +160,7 @@ def dubins_shortest_path(start: Config, end: Config, r_min: float) -> DubinsPath
     beta = norm_angle(end.theta - phi)
 
     best = None
-    for word in DUBINS_WORDS:
-        sol = _WORD_SOLVERS[word](alpha, beta, d)
-        if sol is None:
-            continue
-        t, p, q = sol
+    for word, (t, p, q) in _dubins_words(alpha, beta, d):
         total = t + p + q
         if best is None or total < best[0]:
             best = (total, word, (t, p, q))

@@ -67,12 +67,6 @@ class Chromosome:
     def __len__(self):
         return len(self.genes)
 
-    def __eq__(self, other):
-        return isinstance(other, Chromosome) and self.genes == other.genes
-
-    def __hash__(self):
-        return hash(self.genes)
-
     def delimiter_positions(self) -> list[int]:
         return [i for i, g in enumerate(self.genes) if g.is_delim]
 
@@ -804,7 +798,6 @@ class GenerationStat:
 class MAResult:
     best: TourSet
     best_cost: float
-    best_chromosome: Chromosome
     generations: int
     termination_reason: str
     history: list[GenerationStat]
@@ -896,11 +889,9 @@ def run(roadmap: Roadmap, params: MAParams) -> MAResult:
             reason = "stagnation"
             break
 
-    best_chrom = pop[0]
     return MAResult(
-        best=ev.tours(best_chrom),
-        best_cost=ev.cost(best_chrom),
-        best_chromosome=best_chrom,
+        best=ev.tours(pop[0]),
+        best_cost=ev.cost(pop[0]),
         generations=generation,
         termination_reason=reason,
         history=history,

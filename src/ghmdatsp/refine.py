@@ -89,7 +89,7 @@ def _leg_cost(a: Config, b: Config, veh: VehicleSpec, metric: str) -> float:
     return length / veh.velocity if metric == "time" else length
 
 
-def chain_cost(chain: WaypointChain, veh: VehicleSpec, metric: str = "length") -> float:
+def chain_cost(chain: WaypointChain, veh: VehicleSpec, metric: str) -> float:
     states = chain.states
     return sum(_leg_cost(states[i].config, states[i + 1].config, veh, metric)
                for i in range(len(states) - 1))
@@ -106,62 +106,30 @@ def build_chain(tourset: TourSet, roadmap: Roadmap) -> list[WaypointChain]:
     """
     inst = roadmap.instance
     node_by_id = roadmap.node_by_id
-    specs = {v.id: v for v in inst.vehicles}
-    veh_ids = [v.id for v in inst.vehicles]
     task_by_id = {t.id: t for t in inst.tasks}
+    direct = {node_by_id[nid].cluster for tour in tourset.tours for nid in tour[1:-1]}
+    unplaced = [t.id for t in inst.tasks if t.id not in direct]
 
-    direct: set[int] = set()
-    for tour in tourset.tours:
-        for nid in tour[1:-1]:
-            direct.add(node_by_id[nid].cluster)
-    indirect = [t.id for t in inst.tasks if t.id not in direct]
-
-    # densify every leg of every non-empty tour once, reused across tasks
-    dense: dict[int, list[tuple[np.ndarray, list[Config]]]] = {}
-    chains: dict[int, list] = {}
-    for vi, tour in enumerate(tourset.tours):
+    out: list[WaypointChain] = []
+    for veh, tour in zip(inst.vehicles, tourset.tours):
         if len(tour) <= 2:
             continue
-        veh = specs[veh_ids[vi]]
-        legs = []
+        radius = veh.sensing_range
+        states = [ChainState("depot", node_by_id[tour[0]].cluster, node_by_id[tour[0]].config)]
         for a, b in zip(tour, tour[1:]):
+            # densify the leg once; every task not yet placed goes to its first entry
             path = dubins_shortest_path(node_by_id[a].config, node_by_id[b].config, veh.r_min)
             poses = sample_path(path, veh.r_min * ENTRY_SPACING_FRACTION)
             pts = np.array([[c.x, c.y] for c in poses])
-            legs.append((pts, poses))
-        dense[vi] = legs
-        chains[vi] = [[] for _ in range(len(tour) - 1)]  # insertions per leg
-
-    for t in indirect:
-        center = np.array(task_by_id[t].center)
-        placed = False
-        for vi in sorted(dense):
-            veh = specs[veh_ids[vi]]
-            radius = veh.sensing_range
-            for li, (pts, poses) in enumerate(dense[vi]):
-                inside = np.nonzero(np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
-                                    <= radius + 1e-9)[0]
+            entries = []
+            for t in list(unplaced):
+                cx, cy = task_by_id[t].center
+                inside = np.nonzero(np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) <= radius + 1e-9)[0]
                 if inside.size:
-                    step = int(inside[0])
-                    chains[vi][li].append((step, t, poses[step], radius))
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            raise RefineError(
-                f"task {t} is claimed crossed but no tour path enters its disk")
-
-    out: list[WaypointChain] = []
-    for vi, tour in enumerate(tourset.tours):
-        if len(tour) <= 2:
-            continue
-        veh = specs[veh_ids[vi]]
-        states = [ChainState("depot", node_by_id[tour[0]].cluster,
-                             node_by_id[tour[0]].config)]
-        for li, (a, b) in enumerate(zip(tour, tour[1:])):
-            for step, t, pose, radius in sorted(chains[vi][li], key=lambda e: e[0]):
-                states.append(ChainState("task", t, pose,
+                    entries.append((int(inside[0]), t))
+                    unplaced.remove(t)
+            for step, t in sorted(entries, key=lambda e: e[0]):
+                states.append(ChainState("task", t, poses[step],
                                          Disk(task_by_id[t].center, radius), direct=False))
             node_b = node_by_id[b]
             if node_b.cluster > 0:
@@ -171,6 +139,9 @@ def build_chain(tourset: TourSet, roadmap: Roadmap) -> list[WaypointChain]:
         states.append(ChainState("terminal", node_by_id[tour[-1]].cluster,
                                  node_by_id[tour[-1]].config))
         out.append(WaypointChain(veh.id, states))
+    if unplaced:
+        raise RefineError(
+            f"task {unplaced[0]} is claimed crossed but no tour path enters its disk")
     return out
 
 
@@ -190,15 +161,9 @@ def _optimize_state(chain: WaypointChain, idx: int, veh: VehicleSpec, metric: st
     prev = states[idx - 1].config if idx > 0 else None
     nxt = states[idx + 1].config if idx < len(states) - 1 else None
 
-    if state.kind == "depot":
-        def cost_of(cfg):
-            return _leg_cost(cfg, nxt, veh, metric)
-    elif state.kind == "terminal":
-        def cost_of(cfg):
-            return _leg_cost(prev, cfg, veh, metric)
-    else:
-        def cost_of(cfg):
-            return _leg_cost(prev, cfg, veh, metric) + _leg_cost(cfg, nxt, veh, metric)
+    def cost_of(cfg):
+        return ((_leg_cost(prev, cfg, veh, metric) if prev is not None else 0.0)
+                + (_leg_cost(cfg, nxt, veh, metric) if nxt is not None else 0.0))
 
     cur_cfg = state.config
     best_cost = cost_of(cur_cfg)
@@ -259,10 +224,11 @@ def refine(chains: list[WaypointChain], vehicles: list[VehicleSpec],
     specs = {v.id: v for v in vehicles}
     chains = [WaypointChain(c.vehicle_id, list(c.states)) for c in chains]
 
-    def total():
-        return sum(chain_cost(c, specs[c.vehicle_id], cost_metric) for c in chains)
+    def chain_costs():
+        return [chain_cost(c, specs[c.vehicle_id], cost_metric) for c in chains]
 
-    trace = [total()]
+    costs = chain_costs()
+    trace = [sum(costs)]
     converged = False
     sweeps = 0
     for sweeps in range(1, params.max_sweeps + 1):
@@ -272,12 +238,12 @@ def refine(chains: list[WaypointChain], vehicles: list[VehicleSpec],
                 veh = specs[chain.vehicle_id]
                 for idx in range(parity, len(chain.states), 2):
                     _optimize_state(chain, idx, veh, cost_metric)
-            trace.append(total())
+            costs = chain_costs()
+            trace.append(sum(costs))
         now = trace[-1]
         if before - now < CONVERGENCE_THRESHOLD * max(before, 1e-12):
             converged = True
             break
-    costs = [chain_cost(c, specs[c.vehicle_id], cost_metric) for c in chains]
     return RefineResult(chains, costs, sweeps, converged, trace)
 
 

@@ -44,6 +44,24 @@ class TestDubinsShortestPath:
         with pytest.raises(ValueError):
             dubins_shortest_path(Config(0, 0, 0), Config(1, 1, 0), 0.0)
 
+    # Goal poses reached from (0, 0, 0) at r = 1.  Each word wins by at least
+    # 90% over the runner-up, so no rounding can hand the pair to another word.
+    @pytest.mark.parametrize("word,goal", [
+        ("LSL", (2.0, 1.0, math.pi / 4)),
+        ("RSR", (2.0, -1.0, 7 * math.pi / 4)),
+        ("LSR", (2.0, 0.0, 7 * math.pi / 4)),
+        ("RSL", (2.0, 0.0, math.pi / 4)),
+        ("RLR", (-1.0, 1.0, 5 * math.pi / 4)),
+        ("LRL", (-1.0, -1.0, 3 * math.pi / 4)),
+    ])
+    def test_each_word_has_a_winning_pair(self, word, goal):
+        end = Config(*goal)
+        path = dubins_shortest_path(Config(0, 0, 0), end, 1.0)
+        assert path.word == word
+        tip = path.endpoint()
+        assert math.hypot(tip.x - end.x, tip.y - end.y) <= 1e-9
+        assert ang_diff(tip.theta, end.theta) <= 1e-9
+
     @given(x1=finite, y1=finite, t1=angles, x2=finite, y2=finite, t2=angles, r=radii)
     @settings(max_examples=200, deadline=None)
     def test_endpoint_reconstruction_and_lower_bound(self, x1, y1, t1, x2, y2, t2, r):

@@ -1,13 +1,16 @@
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghmdatsp.geometry import Config, Disk
+from ghmdatsp.geometry import Config, Disk, dubins_shortest_path, sample_path
 from ghmdatsp.instance import VehicleSpec, build_instance
-from ghmdatsp.memetic import MAParams, decode_nin, run
-from ghmdatsp.refine import (ChainState, RefineError, RefineParams, WaypointChain,
-                             build_chain, refine, refined_objective)
+from ghmdatsp.memetic import MAParams, decode_nin, random_chromosome, run
+from ghmdatsp.refine import (ENTRY_SPACING_FRACTION, ChainState, RefineError, RefineParams,
+                             WaypointChain, build_chain, refine, refined_objective)
 from ghmdatsp.roadmap import build_roadmap
 
 from conftest import random_tiny_instance
@@ -77,6 +80,71 @@ class TestBuildChain:
             pytest.skip("unexpected node order in fixture")
         with pytest.raises(RefineError):
             build_chain(forged, rm)
+
+
+@functools.cache
+def fleet_roadmap():
+    """bays29 with four vehicles of different speeds, built once for the module."""
+    return build_roadmap(build_instance(n_vehicles=4, samples_per_cluster=3,
+                                        velocity=[50.0, 60.0, 70.0, 80.0], seed=11))
+
+
+def expected_chains(ts, rm):
+    """The placement rule, worked out leg by leg from the densified paths.
+
+    A crossed task belongs to the first vehicle (of those with tasks), first
+    leg and first sample step whose pose lies within that vehicle's sensing
+    range of the task centre.  Within a leg, crossed tasks come in step
+    order, ties in task-id order, before the leg's end node.  Each chain is
+    a list of (cluster, pose, disk, direct) by vehicle id.
+    """
+    inst = rm.instance
+    tasks = {t.id: t for t in inst.tasks}
+    direct = {rm.node_by_id[n].cluster for tour in ts.tours for n in tour[1:-1]}
+    legs = []  # (vehicle index, leg index, densified poses, sensing range)
+    for vi, (veh, tour) in enumerate(zip(inst.vehicles, ts.tours)):
+        if len(tour) <= 2:
+            continue
+        for li, (a, b) in enumerate(zip(tour, tour[1:])):
+            path = dubins_shortest_path(rm.node_by_id[a].config, rm.node_by_id[b].config,
+                                        veh.r_min)
+            legs.append((vi, li, sample_path(path, veh.r_min * ENTRY_SPACING_FRACTION),
+                         veh.sensing_range))
+    crossed = {}  # (vehicle index, leg index) -> [(step, task id, pose, sensing range)]
+    for t in sorted(set(tasks) - direct):
+        vi, li, step, pose, rad = next(
+            (vi, li, k, pose, rad) for vi, li, poses, rad in legs
+            for k, pose in enumerate(poses)
+            if math.dist((pose.x, pose.y), tasks[t].center) <= rad + 1e-9)
+        crossed.setdefault((vi, li), []).append((step, t, pose, rad))
+    out = {}
+    for vi, tour in enumerate(ts.tours):
+        if len(tour) <= 2:
+            continue
+        first = rm.node_by_id[tour[0]]
+        chain = [(first.cluster, first.config, None, True)]
+        for li, b in enumerate(tour[1:]):
+            for _, t, pose, rad in sorted(crossed.get((vi, li), [])):
+                chain.append((t, pose, Disk(tasks[t].center, rad), False))
+            node = rm.node_by_id[b]
+            disk = Disk(tasks[node.cluster].center, tasks[node.cluster].radius) \
+                if node.cluster > 0 else None
+            chain.append((node.cluster, node.config, disk, True))
+        out[inst.vehicles[vi].id] = chain
+    return out
+
+
+@given(chrom_seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_crossed_tasks_go_to_first_entry(chrom_seed):
+    rm = fleet_roadmap()
+    ts = decode_nin(random_chromosome(rm, random.Random(chrom_seed)), rm)
+    want = expected_chains(ts, rm)
+    chains = build_chain(ts, rm)
+    assert [c.vehicle_id for c in chains] == list(want)
+    for chain in chains:
+        got = [(s.cluster, s.config, s.disk, s.direct) for s in chain.states]
+        assert got == want[chain.vehicle_id]
 
 
 class TestRefine:
