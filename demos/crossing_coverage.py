@@ -8,7 +8,6 @@ reference confirms the shortened tour is optimal.
 
 from ghmdatsp import (Chromosome, build_instance, build_roadmap, decode,
                       decode_nin, solve_bruteforce)
-from ghmdatsp.memetic import delim_gene, task_gene
 
 instance = build_instance(
     [(600.0, 0.0), (680.0, 40.0)],
@@ -26,7 +25,8 @@ for node_id, crossed in roadmap.nin_node_to_tasks.items():
         node = roadmap.node_by_id[node_id]
         print(f"node of task {node.cluster} necessarily crosses tasks {sorted(crossed)}")
 
-chrom = Chromosome([delim_gene((1, 1)), task_gene(1, 1), task_gene(2, 1)])
+# one vehicle: depot sample 1, task 1 then task 2 (sample 1 each), terminal sample 1
+chrom = Chromosome(genes=[0, 1, 2], samples=[0, 1, 1], payloads=[(1, 1)])
 plain = decode(chrom, roadmap)
 reduced = decode_nin(chrom, roadmap)
 print(f"visit both nodes: cost {plain.objective:.1f}")

@@ -11,7 +11,7 @@ from .geometry import (Config, Disk, DubinsPath, dubins_lengths, dubins_shortest
                        nin_check, sample_path, turning_circles)
 from .instance import (Instance, Task, VehicleSpec, build_instance, builtin_task_centers,
                        load_tsplib, turn_radius)
-from .memetic import (Chromosome, Evaluator, Gene, MAParams, MAResult, TourSet,
+from .memetic import (Chromosome, Evaluator, MAParams, MAResult, TourSet,
                       crossover, decode, decode_nin, encode, evaluate, improve,
                       init_population, run, select)
 from .roadmap import (DEPOT, TERMINAL, Roadmap, SampleNode, build_cost_matrix,
@@ -28,7 +28,7 @@ __all__ = [
     "load_tsplib", "turn_radius",
     "DEPOT", "TERMINAL", "Roadmap", "SampleNode", "build_cost_matrix",
     "build_nin_tables", "build_roadmap", "generate_samples",
-    "Chromosome", "Evaluator", "Gene", "MAParams", "MAResult", "TourSet",
+    "Chromosome", "Evaluator", "MAParams", "MAResult", "TourSet",
     "crossover", "decode", "decode_nin", "encode", "evaluate", "improve",
     "init_population", "run", "select",
     "ChainState", "RefineParams", "RefineResult", "WaypointChain",

@@ -27,6 +27,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SOLVE = 2
 
+BENCH_METHODS = ("MA-NIN", "MA-noNIN", "MA-NIN-PR", "ORACLE")
+
 
 class UsageError(Exception):
     pass
@@ -131,6 +133,13 @@ def _add_generate(sub):
     p.add_argument("--out", type=Path, required=True)
 
 
+def _time_limit(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:  # NaN compares false, and would mean no limit
+        raise argparse.ArgumentTypeError(f"must be a non-negative number of seconds, not {text}")
+    return value
+
+
 def _add_solve(sub):
     p = sub.add_parser("solve", help="solve an instance JSON file")
     p.add_argument("instance", type=Path)
@@ -140,7 +149,7 @@ def _add_solve(sub):
     nin.add_argument("--no-nin", dest="nin", action="store_false")
     p.add_argument("--refine", action="store_true")
     p.add_argument("--seed", type=int, default=None, help="override the solver seed")
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_time_limit, default=None)
     p.add_argument("--out", type=Path, help="tour JSON (ma/oracle) or model text (milp-export)")
     p.add_argument("--svg", type=Path, help="tour drawing")
 
@@ -268,6 +277,10 @@ def cmd_bench(args) -> int:
     alpha = config.get("alpha", 0.5)
     sensing = config.get("range", 150.0)
     metric = config.get("metric", "length")
+    unknown = [method for method in methods if method not in BENCH_METHODS]
+    if unknown:
+        raise UsageError(f"unknown bench method(s) {', '.join(unknown)}; "
+                         f"choose from {', '.join(BENCH_METHODS)}")
 
     rows = []
     for m in vehicles:

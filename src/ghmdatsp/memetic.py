@@ -1,11 +1,15 @@
 """Memetic search over delimiter-encoded multi-vehicle tours.
 
-A chromosome is a sequence of n task genes and 2m-1 delimiter genes.
-Counting delimiters from the left, the even-numbered ones split the gene
-string into one segment per vehicle and the odd-numbered ones carry that
-vehicle's depot and terminal sample choices.  Decoding yields one
-depot-to-terminal node tour per vehicle; the NIN-aware variant then prunes
-nodes whose tasks are already crossed by the remaining tour.
+A chromosome holds each choice once, in three fields.  ``genes`` is the
+gene string: n task cluster ids and 2m-1 delimiters, written ``0``.
+Counting delimiters from the left, the even-numbered ones split the
+string into one segment per vehicle; the odd-numbered ones mark where
+each vehicle's depot/terminal choice sits, so that moving genes moves
+those choices too.  ``samples[c]`` is task cluster c's 1-based sample and
+``payloads[v]`` is vehicle v's ``(depot_sample, terminal_sample)``.
+Decoding yields one depot-to-terminal node tour per vehicle; the
+NIN-aware variant then prunes nodes whose tasks are already crossed by
+the remaining tour.
 
 The generational loop is elitist with roulette selection, parameterized
 uniform crossover, immigration instead of mutation, cost-based duplicate
@@ -29,49 +33,24 @@ class ChromosomeError(ValueError):
     """The gene sequence violates a chromosome invariant."""
 
 
-@dataclass(frozen=True, slots=True)
-class Gene:
-    """One gene: a (cluster, sample) visit or a delimiter.
+class Chromosome:
+    """Immutable gene string, per-cluster samples and per-vehicle payloads,
+    with lazily cached decode results.
 
-    Delimiters have ``cluster == 0``; a delimiter in an odd position
-    carries ``payload = (depot_sample, terminal_sample)``.
+    ``samples`` is indexed by cluster id; slot 0 is unused.
     """
 
-    cluster: int = 0
-    sample: int = 0
-    payload: tuple[int, int] | None = None
+    __slots__ = ("genes", "samples", "payloads", "cached_cost", "cached_tours")
 
-    @property
-    def is_delim(self) -> bool:
-        return self.cluster == 0
-
-
-def task_gene(cluster: int, sample: int) -> Gene:
-    return Gene(cluster=cluster, sample=sample)
-
-
-def delim_gene(payload: tuple[int, int] | None = None) -> Gene:
-    return Gene(payload=payload)
-
-
-class Chromosome:
-    """Immutable gene sequence with lazily cached decode results."""
-
-    __slots__ = ("genes", "cached_cost", "cached_tours")
-
-    def __init__(self, genes):
+    def __init__(self, genes, samples, payloads):
         self.genes = tuple(genes)
+        self.samples = tuple(samples)
+        self.payloads = tuple(payloads)
         self.cached_cost = None
         self.cached_tours = None
 
     def __len__(self):
         return len(self.genes)
-
-    def delimiter_positions(self) -> list[int]:
-        return [i for i, g in enumerate(self.genes) if g.is_delim]
-
-    def task_clusters(self) -> list[int]:
-        return [g.cluster for g in self.genes if not g.is_delim]
 
 
 def validate_chromosome(chrom: Chromosome, n: int, m: int, roadmap: Roadmap | None = None) -> None:
@@ -79,31 +58,29 @@ def validate_chromosome(chrom: Chromosome, n: int, m: int, roadmap: Roadmap | No
     expect_len = n + 2 * m - 1
     if len(chrom) != expect_len:
         raise ChromosomeError(f"length {len(chrom)} != n + 2m - 1 = {expect_len}")
-    delims = chrom.delimiter_positions()
-    if len(delims) != 2 * m - 1:
-        raise ChromosomeError(f"{len(delims)} delimiters, expected {2 * m - 1}")
-    for rank, pos in enumerate(delims, start=1):
-        gene = chrom.genes[pos]
-        if rank % 2 == 1 and gene.payload is None:
-            raise ChromosomeError(f"odd delimiter #{rank} lacks depot/terminal payload")
-        if rank % 2 == 0 and gene.payload is not None:
-            raise ChromosomeError(f"even delimiter #{rank} carries payload {gene.payload}")
-    clusters = chrom.task_clusters()
-    if sorted(clusters) != list(range(1, n + 1)):
-        raise ChromosomeError(f"task clusters {sorted(clusters)} != 1..{n}")
+    delims = chrom.genes.count(0)
+    if delims != 2 * m - 1:
+        raise ChromosomeError(f"{delims} delimiters, expected {2 * m - 1}")
+    if len(chrom.payloads) != m:
+        raise ChromosomeError(f"{len(chrom.payloads)} depot/terminal payloads, expected {m}")
+    if len(chrom.samples) != n + 1:
+        raise ChromosomeError(f"samples has {len(chrom.samples)} slots, expected n + 1 = {n + 1}")
+    clusters = sorted(g for g in chrom.genes if g != 0)
+    if clusters != list(range(1, n + 1)):
+        raise ChromosomeError(f"task clusters {clusters} != 1..{n}")
     if roadmap is not None:
         veh_ids = [v.id for v in roadmap.instance.vehicles]
-        for veh, payload, positions in zip(veh_ids, _payloads_in_order(chrom.genes),
+        for veh, payload, positions in zip(veh_ids, chrom.payloads,
                                            _vehicle_task_positions(chrom)):
             d_idx, t_idx = payload
             if not 1 <= d_idx <= len(roadmap.cluster_nodes(veh, DEPOT)):
                 raise ChromosomeError(f"vehicle {veh}: depot sample {d_idx} out of range")
             if not 1 <= t_idx <= len(roadmap.cluster_nodes(veh, TERMINAL)):
                 raise ChromosomeError(f"vehicle {veh}: terminal sample {t_idx} out of range")
-            for g in map(chrom.genes.__getitem__, positions):
-                if not 1 <= g.sample <= len(roadmap.cluster_nodes(veh, g.cluster)):
+            for c in map(chrom.genes.__getitem__, positions):
+                if not 1 <= chrom.samples[c] <= len(roadmap.cluster_nodes(veh, c)):
                     raise ChromosomeError(
-                        f"vehicle {veh}: cluster {g.cluster} sample {g.sample} out of range")
+                        f"vehicle {veh}: cluster {c} sample {chrom.samples[c]} out of range")
 
 
 def _vehicle_task_positions(chrom: Chromosome) -> list[list[int]]:
@@ -111,7 +88,7 @@ def _vehicle_task_positions(chrom: Chromosome) -> list[list[int]]:
     out = [[]]
     rank = 0
     for pos, g in enumerate(chrom.genes):
-        if g.cluster == 0:  # g.is_delim, inlined: every decode runs this walk
+        if g == 0:
             rank += 1
             if rank % 2 == 0:
                 out.append([])
@@ -120,30 +97,17 @@ def _vehicle_task_positions(chrom: Chromosome) -> list[list[int]]:
     return out
 
 
-def _payloads_in_order(genes) -> list[tuple[int, int]]:
-    return [g.payload for g in genes if g.is_delim and g.payload is not None]
+def _permuted(chrom: Chromosome, order: list[int]) -> Chromosome:
+    """The chromosome whose gene at position p is the old gene at ``order[p]``.
 
-
-def fixup_payloads(genes, payloads=None) -> list[Gene]:
-    """Move depot/terminal payloads so only odd-numbered delimiters carry them.
-
-    Payload order among delimiters is preserved; pass ``payloads`` to
-    install an explicit per-vehicle list instead.
+    Each payload moves with the odd-numbered delimiter that held it; the
+    moved payloads, in their new order, become the vehicles' payloads.
     """
-    genes = list(genes)
-    if payloads is None:
-        payloads = _payloads_in_order(genes)
-    it = iter(payloads)
-    rank = 0
-    for i, g in enumerate(genes):
-        if not g.is_delim:
-            continue
-        rank += 1
-        if rank % 2 == 1:
-            genes[i] = delim_gene(next(it))
-        elif g.payload is not None:
-            genes[i] = delim_gene(None)
-    return genes
+    genes = chrom.genes
+    delims = [p for p, g in enumerate(genes) if g == 0]
+    payload_at = dict(zip(delims[::2], chrom.payloads))
+    return Chromosome([genes[p] for p in order], chrom.samples,
+                      [payload_at[p] for p in order if p in payload_at])
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +143,15 @@ def _decode(chrom: Chromosome, roadmap: Roadmap, prune: bool) -> TourSet:
     """Split into node-id tours per vehicle, prune if asked, then cost
     (hot path, no validation)."""
     ids_by_veh = roadmap.ids_by_vehicle
-    genes = chrom.genes
+    genes, samples = chrom.genes, chrom.samples
     tours = []
-    payloads = _payloads_in_order(genes)
-    for veh, payload, positions in zip(roadmap.vehicle_ids, payloads, _vehicle_task_positions(chrom)):
+    for veh, payload, positions in zip(roadmap.vehicle_ids, chrom.payloads,
+                                       _vehicle_task_positions(chrom)):
         ids = ids_by_veh[veh]
         d_idx, t_idx = payload
         tour = [ids[DEPOT][d_idx - 1]]
-        for g in map(genes.__getitem__, positions):
-            tour.append(ids[g.cluster][g.sample - 1])
+        for c in map(genes.__getitem__, positions):
+            tour.append(ids[c][samples[c] - 1])
         tour.append(ids[TERMINAL][t_idx - 1])
         tours.append(tour)
     deleted = ()
@@ -273,17 +237,17 @@ def _nin_reduce(tours: list[list[int]], roadmap: Roadmap):
 def encode(tourset: TourSet, roadmap: Roadmap) -> Chromosome:
     """Inverse of :func:`decode` for tours that visit every cluster."""
     node_by_id = roadmap.node_by_id
-    genes: list[Gene] = []
+    genes, payloads = [], []
+    samples = [0] * (roadmap.n_tasks + 1)
     for vi, tour in enumerate(tourset.tours):
-        if vi > 0:
-            genes.append(delim_gene(None))
-        depot = node_by_id[tour[0]]
-        terminal = node_by_id[tour[-1]]
-        genes.append(delim_gene((depot.index_in_cluster, terminal.index_in_cluster)))
+        genes += [0, 0] if vi else [0]
+        payloads.append((node_by_id[tour[0]].index_in_cluster,
+                         node_by_id[tour[-1]].index_in_cluster))
         for nid in tour[1:-1]:
             s = node_by_id[nid]
-            genes.append(task_gene(s.cluster, s.index_in_cluster))
-    chrom = Chromosome(genes)
+            genes.append(s.cluster)
+            samples[s.cluster] = s.index_in_cluster
+    chrom = Chromosome(genes, samples, payloads)
     validate_chromosome(chrom, roadmap.n_tasks, roadmap.n_vehicles, roadmap)
     return chrom
 
@@ -347,23 +311,23 @@ def _out_of_time(params: MAParams, t0: float) -> bool:
 
 
 def reverse_segment(chrom: Chromosome, i: int, j: int) -> Chromosome:
-    """Reverse gene positions i..j (1-based, inclusive) and fix payloads."""
+    """Reverse gene positions i..j (1-based, inclusive); payloads follow."""
     if not 1 <= i <= j <= len(chrom):
         raise ChromosomeError(f"reversal bounds ({i}, {j}) outside 1..{len(chrom)}")
     if i == j:
         return chrom
-    genes = list(chrom.genes)
-    genes[i - 1:j] = reversed(genes[i - 1:j])
-    return Chromosome(fixup_payloads(genes))
+    order = list(range(len(chrom)))
+    order[i - 1:j] = reversed(order[i - 1:j])
+    return _permuted(chrom, order)
 
 
 def swap_genes(chrom: Chromosome, i: int, j: int) -> Chromosome:
-    """Exchange the genes at 1-based positions i and j and fix payloads."""
+    """Exchange the genes at 1-based positions i and j; payloads follow."""
     if i == j:
         raise ChromosomeError("task swap needs two different positions")
-    genes = list(chrom.genes)
-    genes[i - 1], genes[j - 1] = genes[j - 1], genes[i - 1]
-    return Chromosome(fixup_payloads(genes))
+    order = list(range(len(chrom)))
+    order[i - 1], order[j - 1] = order[j - 1], order[i - 1]
+    return _permuted(chrom, order)
 
 
 def reverse_vehicle_segment(chrom: Chromosome, vehicle_index: int, i: int, j: int) -> Chromosome:
@@ -379,7 +343,7 @@ def reverse_vehicle_segment(chrom: Chromosome, vehicle_index: int, i: int, j: in
     picked = [genes[p] for p in window]
     for p, g in zip(window, reversed(picked)):
         genes[p] = g
-    return Chromosome(genes)
+    return Chromosome(genes, chrom.samples, chrom.payloads)
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +399,17 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
             for t in nin_of[nid]:
                 cover[t] += 1
 
-    genes = list(chrom.genes)
-    seg_positions = _vehicle_task_positions(chrom)
+    genes = chrom.genes
+    samples = list(chrom.samples)
     changed = False
-    for vi, positions in enumerate(seg_positions):
+    for vi, positions in enumerate(_vehicle_task_positions(chrom)):
         veh = veh_ids[vi]
         cmat = cost_lists[veh]
-        for pos in positions:
-            g = genes[pos]
-            ids = cluster_ids[(veh, g.cluster)]
+        for c in map(genes.__getitem__, positions):
+            ids = cluster_ids[(veh, c)]
             if len(ids) < 2:
                 continue
-            cur = ids[g.sample - 1]
+            cur = ids[samples[c] - 1]
             if cur not in pos_of:
                 continue  # pruned from the tour; no travel cost to improve
             tvi, tp = pos_of[cur]
@@ -469,7 +432,7 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
                 best_delta, best_idx, best_nid = delta, idx, nid
             if best_idx is None:
                 continue
-            genes[pos] = task_gene(g.cluster, best_idx)
+            samples[c] = best_idx
             tour[tp] = best_nid
             del pos_of[cur]
             pos_of[best_nid] = (tvi, tp)
@@ -480,7 +443,7 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
             changed = True
     if not changed:
         return chrom
-    cand = Chromosome(genes)
+    cand = Chromosome(genes, samples, chrom.payloads)
     return cand if ev.cost(cand) < ev.cost(chrom) else chrom
 
 
@@ -651,17 +614,17 @@ def _chromosome_from_orders(roadmap: Roadmap, rng: random.Random,
                             orders: list[list[int]]) -> Chromosome:
     """Genes for per-vehicle task orders; depot, terminal and task samples
     are drawn at random, vehicle by vehicle."""
-    genes: list[Gene] = []
+    genes, payloads = [], []
+    samples = [0] * (roadmap.n_tasks + 1)
     for vi, veh in enumerate(roadmap.vehicle_ids):
-        if vi > 0:
-            genes.append(delim_gene(None))
+        genes += [0, 0] if vi else [0]
         d_n = len(roadmap.cluster_nodes(veh, DEPOT))
         t_n = len(roadmap.cluster_nodes(veh, TERMINAL))
-        genes.append(delim_gene((rng.randint(1, d_n), rng.randint(1, t_n))))
+        payloads.append((rng.randint(1, d_n), rng.randint(1, t_n)))
         for t in orders[vi]:
-            size = len(roadmap.cluster_nodes(veh, t))
-            genes.append(task_gene(t, rng.randint(1, size)))
-    return Chromosome(genes)
+            genes.append(t)
+            samples[t] = rng.randint(1, len(roadmap.cluster_nodes(veh, t)))
+    return Chromosome(genes, samples, payloads)
 
 
 def init_population(roadmap: Roadmap, params: MAParams, rng: random.Random,
@@ -725,62 +688,58 @@ def crossover(parent1: Chromosome, parent2: Chromosome, params: MAParams,
     A fixed share of positions (``crossover_p1_share``) is drawn without
     replacement and copied from parent 1.  The remaining positions fill
     left-to-right from parent 2's gene order, skipping task clusters
-    already present and surplus delimiters.  Clusters still missing are
-    inserted in random order with parent 1's sample indices, and the
-    payloads of parent 1 are installed on the odd delimiters.
+    already present and surplus delimiters; each cluster streamed from
+    parent 2 brings parent 2's sample.  Clusters still missing are
+    inserted in random order.  Every other sample, and every vehicle's
+    payload, is parent 1's.
 
     RNG protocol (relied on by reproducibility tests): one
     ``rng.sample(range(L), k)`` for the copied positions, then one
     ``rng.shuffle`` of the leftover clusters in parent-1 gene order.
     """
     length = len(parent1)
-    total_delims = len(parent1.delimiter_positions())
+    total_delims = parent1.genes.count(0)
     k = math.ceil(params.crossover_p1_share * length)
     keep = set(rng.sample(range(length), k))
 
-    child: list[Gene | None] = [None] * length
+    child: list[int | None] = [None] * length
+    samples = list(parent1.samples)
     used: set[int] = set()
     delims = 0
     for pos in keep:
         g = parent1.genes[pos]
         child[pos] = g
-        if g.is_delim:
+        if g == 0:
             delims += 1
         else:
-            used.add(g.cluster)
+            used.add(g)
 
     stream = iter(parent2.genes)
     for pos in range(length):
         if child[pos] is not None:
             continue
         for g in stream:
-            if g.is_delim:
+            if g == 0:
                 if delims < total_delims:
                     child[pos] = g
                     delims += 1
                     break
-            elif g.cluster not in used:
+            elif g not in used:
                 child[pos] = g
-                used.add(g.cluster)
+                samples[g] = parent2.samples[g]
+                used.add(g)
                 break
         else:
             break
 
-    missing = [g.cluster for g in parent1.genes if not g.is_delim and g.cluster not in used]
+    missing = [g for g in parent1.genes if g != 0 and g not in used]
     rng.shuffle(missing)
-    p1_sample = {g.cluster: g.sample for g in parent1.genes if not g.is_delim}
     fill = iter(missing)
     for pos in range(length):
-        if child[pos] is not None:
-            continue
-        try:
-            cluster = next(fill)
-            child[pos] = task_gene(cluster, p1_sample[cluster])
-        except StopIteration:
-            child[pos] = delim_gene(None)
-            delims += 1
+        if child[pos] is None:
+            child[pos] = next(fill, 0)
 
-    return Chromosome(fixup_payloads(child, _payloads_in_order(parent1.genes)))
+    return Chromosome(child, samples, parent1.payloads)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from ghmdatsp.geometry import Config, turning_circles
 from ghmdatsp.instance import Instance, build_instance
-from ghmdatsp.memetic import Chromosome, delim_gene, task_gene
+from ghmdatsp.memetic import Chromosome
 from ghmdatsp.roadmap import DEPOT, TERMINAL, Roadmap, SampleNode, build_cost_matrix, build_nin_tables
 
 
@@ -99,13 +99,11 @@ def worked_example():
                            rng.uniform(0, 2 * math.pi))))
                 nid += 1
     rm = manual_roadmap(inst, nodes, with_nin=False)
-    chrom = Chromosome([
-        delim_gene((1, 3)),
-        task_gene(1, 1), task_gene(2, 3), task_gene(3, 3),
-        delim_gene(None),
-        delim_gene((2, 1)),
-        task_gene(4, 2), task_gene(5, 1),
-    ])
+    # vehicle 1: depot 1, tasks 1..3 with samples 1, 3, 3, terminal 3;
+    # vehicle 2: depot 2, tasks 4, 5 with samples 2, 1, terminal 1
+    chrom = Chromosome(genes=[0, 1, 2, 3, 0, 0, 4, 5],
+                       samples=[0, 1, 3, 3, 2, 1],
+                       payloads=[(1, 3), (2, 1)])
     return inst, rm, chrom
 
 
@@ -155,11 +153,9 @@ def pruning_example():
                                     Config(task.center[0], task.center[1], theta)))
             nid += 1
     rm = manual_roadmap(inst, nodes)
-    chrom = Chromosome([
-        task_gene(1, 1), task_gene(2, 1), task_gene(3, 1),
-        delim_gene((1, 1)),
-        delim_gene(None),
-        task_gene(4, 1), task_gene(5, 1),
-        delim_gene((1, 1)),
-    ])
+    # the first delimiter is odd-numbered, so tasks 1..3 before it still
+    # belong to vehicle 1; the second splits off vehicle 2's tasks 4, 5
+    chrom = Chromosome(genes=[1, 2, 3, 0, 0, 4, 5, 0],
+                       samples=[0, 1, 1, 1, 1, 1],
+                       payloads=[(1, 1), (1, 1)])
     return inst, rm, chrom

@@ -139,6 +139,14 @@ class TestSolve:
         assert "--refine" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("limit", ["nan", "-1"])
+    def test_bad_time_limit_is_usage_error(self, tiny_file, limit, capsys):
+        # NaN would silently mean no limit; a negative one stops the search
+        # before its first generation
+        _, path = tiny_file
+        assert main(["solve", str(path), "--time-limit", limit]) == EXIT_USAGE
+        assert "--time-limit" in capsys.readouterr().err
+
     def test_nin_flag_overrides_instance(self, tmp_path, capsys):
         inst = random_tiny_instance(9)
         path = tmp_path / "t.json"
@@ -187,6 +195,21 @@ class TestBench:
         row = dict(zip(header, lines[1].split(",")))
         assert row["vehicles"] == "1" and row["method"] == "ORACLE"
         assert (tmp_path / "bench.md").exists()
+
+    @pytest.mark.parametrize("method", ["MA-NIN-RP", "MA-noNIN-PR"])
+    def test_unknown_method_is_usage_error(self, tmp_path, monkeypatch, method, capsys):
+        def no_cell(inst):
+            raise AssertionError("a bench cell ran")
+
+        monkeypatch.setattr(cli, "build_roadmap", no_cell)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"vehicles": [1], "samples": [1], "seeds": [0],
+                                   "methods": ["MA-NIN", method]}))
+        assert main(["bench", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert method in err
+        assert all(known in err for known in ("MA-NIN", "MA-noNIN", "MA-NIN-PR", "ORACLE"))
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_failures_recorded_and_run_continues(self, tmp_path):
         cfg = tmp_path / "cfg.json"

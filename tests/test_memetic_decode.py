@@ -4,8 +4,7 @@ import pytest
 
 from ghmdatsp.instance import build_instance
 from ghmdatsp.memetic import (Chromosome, ChromosomeError, Evaluator, decode, decode_nin,
-                              delim_gene, encode, evaluate, random_chromosome, task_gene,
-                              validate_chromosome)
+                              encode, evaluate, random_chromosome, validate_chromosome)
 from ghmdatsp.roadmap import build_roadmap
 
 from conftest import coverage_ok, random_tiny_instance
@@ -28,18 +27,12 @@ class TestDecode:
         inst = build_instance([(300.0, 0.0)], n_vehicles=1, samples_per_cluster=1,
                               depots=[(0.0, 0.0)], seed=2)
         rm = build_roadmap(inst)
-        ts = decode(Chromosome([delim_gene((1, 1)), task_gene(1, 1)]), rm)
+        ts = decode(Chromosome([0, 1], [0, 1], [(1, 1)]), rm)
         assert tour_labels(ts, rm)[0] == [(-1, 1), (1, 1), (-2, 1)]
 
     def test_empty_vehicle_segment_costs_direct_leg(self, worked_example):
         _, rm, _ = worked_example
-        chrom = Chromosome([
-            delim_gene((1, 1)),
-            task_gene(1, 1), task_gene(2, 1), task_gene(3, 1),
-            task_gene(4, 1), task_gene(5, 1),
-            delim_gene(None),
-            delim_gene((1, 1)),
-        ])
+        chrom = Chromosome([0, 1, 2, 3, 4, 5, 0, 0], [0, 1, 1, 1, 1, 1], [(1, 1), (1, 1)])
         ts = decode(chrom, rm)
         assert tour_labels(ts, rm)[1] == [(-1, 1), (-2, 1)]
         depot = rm.node(2, -1, 1).id
@@ -57,18 +50,22 @@ class TestDecode:
     def test_malformed_chromosome_rejected(self, worked_example):
         _, rm, chrom = worked_example
         genes = list(chrom.genes)
-        genes[1] = task_gene(2, 1)  # duplicate cluster
+        genes[1] = 2  # duplicate cluster
         with pytest.raises(ChromosomeError):
-            decode(Chromosome(genes), rm)
+            decode(Chromosome(genes, chrom.samples, chrom.payloads), rm)
         with pytest.raises(ChromosomeError):
-            decode(Chromosome(genes[:-1]), rm)
+            decode(Chromosome(genes[:-1], chrom.samples, chrom.payloads), rm)
 
-    def test_payload_on_even_delimiter_rejected(self, worked_example):
+    def test_payload_and_sample_counts_rejected(self, worked_example):
+        """Decoding pairs payloads with vehicles, so one payload too few or
+        too many would drop a vehicle or go unnoticed."""
         _, rm, chrom = worked_example
-        genes = list(chrom.genes)
-        genes[4] = delim_gene((1, 1))  # even-numbered delimiter must stay bare
-        with pytest.raises(ChromosomeError):
-            validate_chromosome(Chromosome(genes), 5, 2, rm)
+        for payloads in (chrom.payloads[:1], chrom.payloads + ((1, 1),)):
+            with pytest.raises(ChromosomeError, match="payloads"):
+                validate_chromosome(Chromosome(chrom.genes, chrom.samples, payloads), 5, 2, rm)
+        for samples in (chrom.samples[:-1], chrom.samples + (1,)):
+            with pytest.raises(ChromosomeError, match="samples"):
+                validate_chromosome(Chromosome(chrom.genes, samples, chrom.payloads), 5, 2, rm)
 
     def test_encode_inverts_decode(self, worked_example):
         _, rm, chrom = worked_example

@@ -2,20 +2,37 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ghmdatsp.geometry import Config
 from ghmdatsp.instance import build_instance
 from ghmdatsp.memetic import (Chromosome, ChromosomeError, Evaluator, ImproveStats,
-                              MAParams, crossover, decode, delim_gene, global_2opt,
+                              MAParams, crossover, decode, global_2opt,
                               improve, local_2opt, random_chromosome, reverse_segment,
                               reverse_vehicle_segment, sample_swap, select, swap_genes,
-                              task_gene, task_swap, validate_chromosome)
-from ghmdatsp.roadmap import build_roadmap
+                              task_swap, validate_chromosome)
+from ghmdatsp.roadmap import DEPOT, TERMINAL, SampleNode, build_roadmap
 
-from conftest import coverage_ok, random_tiny_instance
+from conftest import coverage_ok, manual_roadmap, random_tiny_instance
 
 
 def labels(chrom):
-    return [("M", g.payload) if g.is_delim else (g.cluster, g.sample) for g in chrom.genes]
+    """One label per gene: ("M", payload) on odd-numbered delimiters, ("M",
+    None) on even-numbered ones and (cluster, sample) on task genes."""
+    out = []
+    delims = 0
+    for g in chrom.genes:
+        if g == 0:
+            out.append(("M", chrom.payloads[delims // 2] if delims % 2 == 0 else None))
+            delims += 1
+        else:
+            out.append((g, chrom.samples[g]))
+    return out
+
+
+def fields(chrom):
+    return chrom.genes, chrom.samples, chrom.payloads
 
 
 @pytest.fixture()
@@ -39,7 +56,7 @@ class TestReverseSegment:
         must land back on the odd-numbered delimiter."""
         _, rm, chrom, _ = example
         out = reverse_segment(chrom, 3, 8)
-        delims = [(i, g.payload) for i, g in enumerate(out.genes, start=1) if g.is_delim]
+        delims = [(i, lab[1]) for i, lab in enumerate(labels(out), start=1) if lab[0] == "M"]
         assert delims == [(1, (1, 3)), (5, None), (6, (2, 1))]
         validate_chromosome(out, 5, 2, rm)
         ts = decode(out, rm)
@@ -50,8 +67,7 @@ class TestReverseSegment:
         _, rm, chrom, _ = example
         out = reverse_segment(chrom, 1, 5)
         validate_chromosome(out, 5, 2, rm)
-        first = out.genes[0]
-        assert first.is_delim and first.payload == (1, 3)
+        assert labels(out)[0] == ("M", (1, 3))
 
     def test_out_of_bounds_rejected(self, example):
         _, _, chrom, _ = example
@@ -71,11 +87,7 @@ class TestVehicleReversal:
 
     def test_single_gene_vehicle_is_identity(self, worked_example):
         _, rm, _ = worked_example
-        chrom = Chromosome([
-            delim_gene((1, 1)), task_gene(1, 1), task_gene(2, 1),
-            task_gene(3, 1), task_gene(4, 1),
-            delim_gene(None), delim_gene((1, 1)), task_gene(5, 1),
-        ])
+        chrom = Chromosome([0, 1, 2, 3, 4, 0, 0, 5], [0, 1, 1, 1, 1, 1], [(1, 1), (1, 1)])
         assert reverse_vehicle_segment(chrom, 1, 1, 1) is chrom
 
 
@@ -96,6 +108,91 @@ class TestSwapGenes:
         _, _, chrom, _ = example
         with pytest.raises(ChromosomeError):
             swap_genes(chrom, 3, 3)
+
+
+@pytest.fixture(scope="module")
+def fleets():
+    """Roadmaps with 2 and 4 vehicles.  Built roadmaps hold one depot and
+    one terminal node per vehicle, so every payload would be (1, 1); these
+    hold three of each, so that payloads differ and their order shows."""
+    centers = [(300.0, 200.0), (900.0, 250.0), (600.0, 600.0),
+               (250.0, 950.0), (950.0, 900.0), (600.0, 1100.0)]
+    depots = [(0.0, 0.0), (1200.0, 1200.0), (0.0, 1200.0), (1200.0, 0.0)]
+    out = {}
+    for m in (2, 4):
+        inst = build_instance(centers, n_vehicles=m, samples_per_cluster=2, velocity=50,
+                              depots=depots[:m], seed=m)
+        rng = random.Random(m)
+        nodes = []
+        for veh in inst.vehicles:
+            clusters = [(DEPOT, veh.depot, 3), (TERMINAL, veh.terminal, 3),
+                        *((t.id, t.center, 2) for t in inst.tasks)]
+            for cluster, (x, y), count in clusters:
+                for k in range(1, count + 1):
+                    nodes.append(SampleNode(len(nodes), veh.id, cluster, k,
+                                            Config(x, y, rng.uniform(0, 2 * math.pi))))
+        out[m] = manual_roadmap(inst, nodes, with_nin=False)
+    return out
+
+
+def reseated(moved):
+    """Labels after a move: the payloads, in the order the move left them,
+    sit on the odd-numbered delimiters again."""
+    payloads = iter([lab[1] for lab in moved if lab[0] == "M" and lab[1] is not None])
+    out = []
+    delims = 0
+    for lab in moved:
+        if lab[0] == "M":
+            lab = ("M", next(payloads) if delims % 2 == 0 else None)
+            delims += 1
+        out.append(lab)
+    return out
+
+
+def tours_of(labelled, rm):
+    """Node tours read off a label list: even-numbered delimiters end a
+    vehicle's segment, odd-numbered ones carry its depot/terminal samples."""
+    segments, payloads = [[]], []
+    delims = 0
+    for lab in labelled:
+        if lab[0] == "M":
+            delims += 1
+            if delims % 2 == 0:
+                segments.append([])
+            else:
+                payloads.append(lab[1])
+        else:
+            segments[-1].append(lab)
+    tours = []
+    for veh, (d, t), segment in zip(rm.vehicle_ids, payloads, segments):
+        tours.append((rm.node(veh, DEPOT, d).id,
+                      *(rm.node(veh, c, s).id for c, s in segment),
+                      rm.node(veh, TERMINAL, t).id))
+    return tuple(tours)
+
+
+class TestPayloadMovement:
+    @given(m=st.sampled_from([2, 4]), seed=st.integers(0, 2 ** 32 - 1),
+           reverse=st.booleans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_moves_match_labelled_reference(self, fleets, m, seed, reverse, data):
+        rm = fleets[m]
+        chrom = random_chromosome(rm, random.Random(seed))
+        length = len(chrom)
+        i = data.draw(st.integers(1, length), label="i")
+        moved = labels(chrom)
+        if reverse:
+            j = data.draw(st.integers(i, length), label="j")
+            out = reverse_segment(chrom, i, j)
+            moved[i - 1:j] = moved[i - 1:j][::-1]
+        else:
+            j = data.draw(st.integers(1, length).filter(lambda x: x != i), label="j")
+            out = swap_genes(chrom, i, j)
+            moved[i - 1], moved[j - 1] = moved[j - 1], moved[i - 1]
+        want = reseated(moved)
+        assert labels(out) == want
+        validate_chromosome(out, rm.n_tasks, m, rm)
+        assert decode(out, rm).tours == tours_of(want, rm)
 
 
 class TestImproveOrReject:
@@ -234,19 +331,20 @@ class TestSelect:
 def reference_crossover(parent1, parent2, share, rng):
     """Straight-line reimplementation of the documented crossover rule."""
     length = len(parent1)
-    total_delims = sum(1 for g in parent1.genes if g.is_delim)
+    total_delims = sum(1 for g in parent1.genes if g == 0)
     k = math.ceil(share * length)
     keep = set(rng.sample(range(length), k))
     child = [None] * length
+    sample_of = {}
     used = set()
     delims = 0
     for pos in sorted(keep):
         g = parent1.genes[pos]
         child[pos] = g
-        if g.is_delim:
+        if g == 0:
             delims += 1
         else:
-            used.add(g.cluster)
+            used.add(g)
     queue = list(parent2.genes)
     qi = 0
     for pos in range(length):
@@ -255,34 +353,29 @@ def reference_crossover(parent1, parent2, share, rng):
         while qi < len(queue):
             g = queue[qi]
             qi += 1
-            if g.is_delim and delims < total_delims:
+            if g == 0 and delims < total_delims:
                 child[pos] = g
                 delims += 1
                 break
-            if not g.is_delim and g.cluster not in used:
+            if g != 0 and g not in used:
                 child[pos] = g
-                used.add(g.cluster)
+                sample_of[g] = parent2.samples[g]
+                used.add(g)
                 break
         else:
             continue
-    missing = [g.cluster for g in parent1.genes if not g.is_delim and g.cluster not in used]
+    missing = [g for g in parent1.genes if g != 0 and g not in used]
     rng.shuffle(missing)
-    samples = {g.cluster: g.sample for g in parent1.genes if not g.is_delim}
     mi = 0
     for pos in range(length):
         if child[pos] is None:
             if mi < len(missing):
-                child[pos] = task_gene(missing[mi], samples[missing[mi]])
+                child[pos] = missing[mi]
                 mi += 1
             else:
-                child[pos] = delim_gene(None)
-    payloads = [g.payload for g in parent1.genes if g.is_delim and g.payload is not None]
-    rank = 0
-    for i, g in enumerate(child):
-        if g.is_delim:
-            rank += 1
-            child[i] = delim_gene(payloads[(rank - 1) // 2] if rank % 2 == 1 else None)
-    return Chromosome(child)
+                child[pos] = 0
+    samples = [0] + [sample_of.get(c, parent1.samples[c]) for c in range(1, len(parent1.samples))]
+    return Chromosome(child, samples, parent1.payloads)
 
 
 class TestCrossover:
@@ -300,7 +393,7 @@ class TestCrossover:
             p2 = random_chromosome(rm, rng)
             child = crossover(p1, p2, params, rng)
             validate_chromosome(child, rm.n_tasks, rm.n_vehicles, rm)
-            assert sorted(child.task_clusters()) == list(range(1, rm.n_tasks + 1))
+            assert sorted(g for g in child.genes if g != 0) == list(range(1, rm.n_tasks + 1))
 
     def test_matches_reference_implementation(self, example):
         _, rm, chrom, _ = example
@@ -310,7 +403,7 @@ class TestCrossover:
         p2 = reverse_segment(chrom, 2, 7)
         child = crossover(chrom, p2, params, rng1)
         want = reference_crossover(chrom, p2, params.crossover_p1_share, rng2)
-        assert child.genes == want.genes
+        assert fields(child) == fields(want)
 
     def test_matches_reference_on_random_pairs(self, example):
         _, rm, _, _ = example
@@ -322,7 +415,7 @@ class TestCrossover:
             seed = gen.randint(0, 10 ** 9)
             child = crossover(p1, p2, params, random.Random(seed))
             want = reference_crossover(p1, p2, params.crossover_p1_share, random.Random(seed))
-            assert child.genes == want.genes
+            assert fields(child) == fields(want)
 
 
 class TestImprove:

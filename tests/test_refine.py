@@ -65,9 +65,8 @@ class TestBuildChain:
                               samples_per_cluster=1, velocity=50,
                               depots=[(0.0, 0.0)], seed=3)
         rm = build_roadmap(inst)
-        from ghmdatsp.memetic import Chromosome, delim_gene, task_gene
-        ts = decode_nin(Chromosome([delim_gene((1, 1)), task_gene(1, 1),
-                                    task_gene(2, 1)]), rm)
+        from ghmdatsp.memetic import Chromosome
+        ts = decode_nin(Chromosome([0, 1, 2], [0, 1, 1], [(1, 1)]), rm)
         # forge a reduced tourset that drops task 2 without any crossing
         forged = ts.__class__(
             tours=((ts.tours[0][0], ts.tours[0][1], ts.tours[0][-1]),),
