@@ -134,10 +134,10 @@ def _add_generate(sub):
 
 
 def _time_limit(text: str) -> float:
-    value = float(text)
-    if not value >= 0.0:  # NaN compares false, and would mean no limit
-        raise argparse.ArgumentTypeError(f"must be a non-negative number of seconds, not {text}")
-    return value
+    try:
+        return MAParams(time_limit_s=float(text)).time_limit_s
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _add_solve(sub):

@@ -301,6 +301,10 @@ class MAParams:
     stagnation_streak_l2: ClassVar[int] = 10
     duplicate_cost_epsilon: ClassVar[float] = 1e-6
 
+    def __post_init__(self):
+        if self.time_limit_s is not None and not self.time_limit_s >= 0.0:  # NaN fails too
+            raise ValueError(f"time_limit_s must be non-negative seconds, not {self.time_limit_s}")
+
 
 def _out_of_time(params: MAParams, t0: float) -> bool:
     return params.time_limit_s is not None and time.monotonic() - t0 > params.time_limit_s

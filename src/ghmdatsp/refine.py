@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .geometry import Config, Disk, dubins_shortest_path, sample_path
 from .instance import VehicleSpec
@@ -154,55 +154,81 @@ def _project(disk: Disk, x: float, y: float) -> tuple[float, float]:
     return disk.center[0] + f * dx, disk.center[1] + f * dy
 
 
+def minimize(fun, simplex):
+    """Nelder–Mead search from ``simplex`` (n + 1 vertices); the best (vertex, cost).
+
+    The steps are those of ``scipy.optimize.minimize(method="Nelder-Mead")``,
+    with a stable sort by cost.  It ends once vertices and costs agree within
+    1e-7 and 1e-10, or partway through a step once ``MAX_EVALUATIONS`` costs are spent.
+    """
+    budget = iter(range(MAX_EVALUATIONS))
+
+    def point(x):  # (cost, vertex); StopIteration once the budget is spent
+        next(budget)
+        return fun(x), x
+
+    def blend(a, u, b, w):
+        return [a * p + b * q for p, q in zip(u, w)]
+
+    pts = [point(list(v)) for v in simplex]
+    try:
+        while True:
+            pts.sort(key=lambda pt: pt[0])
+            (f0, best), (fw, worst) = pts[0], pts[-1]
+            if (all(abs(p - q) <= 1e-7 for _, v in pts[1:] for p, q in zip(v, best))
+                    and all(abs(f0 - c) <= 1e-10 for c, _ in pts[1:])):
+                return best, f0
+            xbar = reduce(lambda u, w: blend(1.0, u, 1.0, w), [v for _, v in pts[:-1]])
+            xbar = [p / len(best) for p in xbar]
+            r = point(blend(2.0, xbar, -1.0, worst))
+            if r[0] < f0:
+                e = point(blend(3.0, xbar, -2.0, worst))
+                pts[-1] = e if e[0] < r[0] else r
+            elif r[0] < pts[-2][0]:
+                pts[-1] = r
+            else:
+                outside = r[0] < fw  # contract outside the worst vertex, else inside
+                a, b = (1.5, -0.5) if outside else (0.5, 0.5)
+                c = point(blend(a, xbar, b, worst))
+                if (c[0] <= r[0]) if outside else (c[0] < fw):
+                    pts[-1] = c
+                else:  # shrink towards the best vertex
+                    for j in range(1, len(pts)):
+                        pts[j] = point([q + 0.5 * (p - q) for p, q in zip(pts[j][1], best)])
+    except StopIteration:
+        cost, best = min(pts, key=lambda pt: pt[0])
+        return best, cost
+
+
 def _optimize_state(chain: WaypointChain, idx: int, veh: VehicleSpec, metric: str) -> bool:
     """Minimize the legs touching state ``idx``; accept only strict gains."""
     states = chain.states
     state = states[idx]
     prev = states[idx - 1].config if idx > 0 else None
     nxt = states[idx + 1].config if idx < len(states) - 1 else None
+    cur_cfg = state.config
+
+    def config_of(v):  # a task's pose stays in its disk; an endpoint only turns
+        if state.kind == "task":
+            return Config(*_project(state.disk, v[0], v[1]), v[2])
+        return Config(cur_cfg.x, cur_cfg.y, v[0])
 
     def cost_of(cfg):
         return ((_leg_cost(prev, cfg, veh, metric) if prev is not None else 0.0)
                 + (_leg_cost(cfg, nxt, veh, metric) if nxt is not None else 0.0))
 
-    cur_cfg = state.config
-    best_cost = cost_of(cur_cfg)
-    best_cfg = cur_cfg
-    opts = {"maxfev": MAX_EVALUATIONS, "xatol": 1e-7, "fatol": 1e-10}
-
-    if state.kind in ("depot", "terminal"):
-        x, y = cur_cfg.x, cur_cfg.y
-
-        def fun(v):
-            return cost_of(Config(x, y, v[0]))
-
-        for off in HEADING_RESTARTS:
-            th0 = cur_cfg.theta + off
-            res = minimize(fun, np.array([th0]), method="Nelder-Mead",
-                           options=opts | {"initial_simplex": [[th0], [th0 + SIMPLEX_HEADING_STEP]]})
-            if res.fun < best_cost:
-                best_cost = res.fun
-                best_cfg = Config(x, y, float(res.x[0]))
-    else:
-        disk = state.disk
-        step = max(disk.radius * 0.5, 1e-3)
-
-        def fun(v):
-            px, py = _project(disk, v[0], v[1])
-            return cost_of(Config(px, py, v[2]))
-
-        for off in HEADING_RESTARTS:
-            x0 = np.array([cur_cfg.x, cur_cfg.y, cur_cfg.theta + off])
-            simplex = [x0,
-                       x0 + [step, 0.0, 0.0],
-                       x0 + [0.0, step, 0.0],
-                       x0 + [0.0, 0.0, SIMPLEX_HEADING_STEP]]
-            res = minimize(fun, x0, method="Nelder-Mead",
-                           options=opts | {"initial_simplex": simplex})
-            if res.fun < best_cost:
-                best_cost = res.fun
-                px, py = _project(disk, float(res.x[0]), float(res.x[1]))
-                best_cfg = Config(px, py, float(res.x[2]))
+    best_cost, best_cfg = cost_of(cur_cfg), cur_cfg
+    for off in HEADING_RESTARTS:
+        if state.kind == "task":
+            step = max(state.disk.radius * 0.5, 1e-3)
+            x0 = [cur_cfg.x, cur_cfg.y, cur_cfg.theta + off]
+            edges = [(step, 0.0, 0.0), (0.0, step, 0.0), (0.0, 0.0, SIMPLEX_HEADING_STEP)]
+        else:
+            x0, edges = [cur_cfg.theta + off], [(SIMPLEX_HEADING_STEP,)]
+        simplex = [x0] + [[p + q for p, q in zip(x0, e)] for e in edges]
+        v, cost = minimize(lambda v: cost_of(config_of(v)), simplex)
+        if cost < best_cost:
+            best_cost, best_cfg = cost, config_of(v)
 
     if best_cfg is not cur_cfg:
         states[idx] = ChainState(state.kind, state.cluster, best_cfg, state.disk, state.direct)

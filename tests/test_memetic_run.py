@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -152,6 +153,13 @@ class TestRun:
                                stagnation_limit=5000, seed=5, time_limit_s=1.5))
         assert res.termination_reason == "time_limit"
         assert res.wall_time_s < 10.0
+
+    @pytest.mark.parametrize("limit", [math.nan, -1.0])
+    def test_nan_or_negative_time_limit_is_rejected(self, limit):
+        # NaN would silently mean no limit; a negative one would stop the
+        # search before its first generation with every member unpolished
+        with pytest.raises(ValueError, match="time_limit_s"):
+            MAParams(time_limit_s=limit)
 
     def test_spent_budget_skips_init_polish_and_generations(self, mid_instance):
         inst, rm = mid_instance

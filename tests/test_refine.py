@@ -1,6 +1,10 @@
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -234,3 +238,26 @@ class TestRefine:
         res = refine(chains, list(inst.vehicles))
         obj = refined_objective(res, ma.best, inst.alpha, inst.n_vehicles)
         assert obj <= ma.best_cost + 1e-9
+
+
+# bays29's first eight tasks, one vehicle, refined with every scipy module blocked
+WITHOUT_SCIPY = """
+import random, sys
+sys.modules["scipy"] = None  # any later "import scipy..." raises ImportError
+import ghmdatsp, ghmdatsp.cli
+from ghmdatsp import build_instance, builtin_task_centers, build_roadmap
+from ghmdatsp.memetic import decode_nin, random_chromosome
+from ghmdatsp.refine import RefineParams, build_chain, refine
+inst = build_instance(builtin_task_centers()[:8], samples_per_cluster=2, velocity=50.0, seed=1)
+rm = build_roadmap(inst)
+chains = build_chain(decode_nin(random_chromosome(rm, random.Random(1)), rm), rm)
+res = refine(chains, list(inst.vehicles), RefineParams(max_sweeps=2))
+assert res.cost_trace[-1] < res.cost_trace[0], res.cost_trace
+"""
+
+
+def test_package_and_refinement_run_without_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
