@@ -12,11 +12,12 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import exact, memetic
-from .instance import Instance, build_instance, load_tsplib
+from .instance import (DEFAULT_ALPHA, DEFAULT_SAMPLES_PER_CLUSTER, DEFAULT_SENSING_RANGE,
+                       DEFAULT_VELOCITY, Instance, build_instance, load_tsplib)
 from .memetic import MAParams, TourSet, evaluate
 from .refine import (RefineError, build_chain, refine, refined_objective,
                      refined_vehicle_costs)
@@ -121,10 +122,10 @@ def _add_generate(sub):
     p.add_argument("--tsplib", type=Path, help="TSPLIB file with NODE_COORD_SECTION")
     p.add_argument("--builtin", default=None, help="bundled point set name (default bays29)")
     p.add_argument("--vehicles", type=int, default=1)
-    p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--velocity", type=float, default=70.0)
-    p.add_argument("--range", dest="sensing_range", type=float, default=150.0)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES_PER_CLUSTER)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--velocity", type=float, default=DEFAULT_VELOCITY)
+    p.add_argument("--range", dest="sensing_range", type=float, default=DEFAULT_SENSING_RANGE)
     p.add_argument("--metric", choices=("length", "time"), default="length")
     nin = p.add_mutually_exclusive_group()
     nin.add_argument("--nin", dest="nin", action="store_true", default=True)
@@ -204,8 +205,8 @@ def cmd_solve(args) -> int:
     if args.refine and args.method != "ma":
         raise UsageError(f"--refine applies only to --method ma, not {args.method}")
     inst = Instance.from_json(args.instance.read_text())
-    if args.nin is not None and args.nin != inst.nin_enabled:
-        inst = Instance.from_json(json.dumps({**json.loads(inst.to_json()), "nin_enabled": args.nin}))
+    if args.nin is not None:
+        inst = replace(inst, nin_enabled=args.nin)
     if args.refine and not inst.nin_enabled:
         raise UsageError("--refine applies to NIN solving; re-run with --nin")
     t0 = time.monotonic()
@@ -270,12 +271,12 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     config = json.loads(args.config.read_text())
     vehicles = config.get("vehicles", [1])
-    samples = config.get("samples", [5])
+    samples = config.get("samples", [DEFAULT_SAMPLES_PER_CLUSTER])
     seeds = config.get("seeds", [0])
     methods = config.get("methods", ["MA-NIN"])
-    velocity = config.get("velocity", 70.0)
-    alpha = config.get("alpha", 0.5)
-    sensing = config.get("range", 150.0)
+    velocity = config.get("velocity", DEFAULT_VELOCITY)
+    alpha = config.get("alpha", DEFAULT_ALPHA)
+    sensing = config.get("range", DEFAULT_SENSING_RANGE)
     metric = config.get("metric", "length")
     unknown = [method for method in methods if method not in BENCH_METHODS]
     if unknown:

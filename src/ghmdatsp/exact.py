@@ -108,7 +108,7 @@ def _vehicle_edges(roadmap: Roadmap, veh_id: int):
                 yield a.id, b.id, c, _xvar(a.id, b.id)
 
 
-def export_milp(roadmap: Roadmap, alpha: float | None = None) -> MilpModel:
+def export_milp(roadmap: Roadmap) -> MilpModel:
     """Build the assignment/degree model over the roadmap.
 
     The objective blends the mean vehicle cost with a continuous variable z
@@ -118,8 +118,6 @@ def export_milp(roadmap: Roadmap, alpha: float | None = None) -> MilpModel:
     separation.
     """
     inst = roadmap.instance
-    if alpha is None:
-        alpha = inst.alpha
     m = inst.n_vehicles
     objective: dict[str, float] = {}
     constraints: list[tuple[str, dict[str, float], str, float]] = []
@@ -137,8 +135,8 @@ def export_milp(roadmap: Roadmap, alpha: float | None = None) -> MilpModel:
 
     for veh in inst.vehicles:
         for _, _, c, x in edges[veh.id]:
-            objective[x] = alpha * c / m
-    objective["z"] = 1.0 - alpha
+            objective[x] = inst.alpha * c / m
+    objective["z"] = 1.0 - inst.alpha
 
     # z >= Cost_k for every vehicle
     for veh in inst.vehicles:

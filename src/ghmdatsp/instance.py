@@ -37,13 +37,17 @@ def turn_radius(velocity: float, load_factor: float, gravity: float = GRAVITY_DE
 
     radius = velocity^2 / (gravity * sqrt(load_factor^2 - 1))
     """
-    if velocity <= 0.0:
-        raise InstanceError(f"velocity must be positive, got {velocity}")
-    if gravity <= 0.0:
-        raise InstanceError(f"gravity must be positive, got {gravity}")
-    if load_factor <= 1.0:
-        raise InstanceError(f"load_factor must exceed 1, got {load_factor}")
+    if not 0.0 < velocity < math.inf:  # NaN fails too
+        raise InstanceError(f"velocity must be positive and finite, got {velocity}")
+    if not 0.0 < gravity < math.inf:
+        raise InstanceError(f"gravity must be positive and finite, got {gravity}")
+    if not 1.0 < load_factor < math.inf:
+        raise InstanceError(f"load_factor must exceed 1 and be finite, got {load_factor}")
     return velocity * velocity / (gravity * math.sqrt(load_factor * load_factor - 1.0))
+
+
+def _finite_point(point) -> bool:
+    return all(map(math.isfinite, point))
 
 
 @dataclass(frozen=True)
@@ -101,19 +105,19 @@ class Instance:
         if ids != list(range(1, len(ids) + 1)):
             problems.append(f"task ids must be 1..n contiguous, got {ids}")
         for t in self.tasks:
-            if t.radius <= 0.0:
-                problems.append(f"task {t.id}: radius must be positive, got {t.radius}")
+            if not 0.0 < t.radius < math.inf:  # NaN fails too
+                problems.append(f"task {t.id}: radius must be positive and finite, got {t.radius}")
+            if not _finite_point(t.center):
+                problems.append(f"task {t.id}: center must be finite, got {t.center}")
         vids = [v.id for v in self.vehicles]
         if vids != list(range(1, len(vids) + 1)):
             problems.append(f"vehicle ids must be 1..m contiguous, got {vids}")
-        for v in self.vehicles:
-            if v.velocity <= 0.0:
-                problems.append(f"vehicle {v.id}: velocity must be positive")
-            if v.load_factor <= 1.0:
-                problems.append(f"vehicle {v.id}: load_factor must exceed 1")
-            if v.sensing_range <= 0.0:
-                problems.append(f"vehicle {v.id}: sensing_range must be positive")
-            if v.r_min <= 0.0:
+        for v in self.vehicles:  # VehicleSpec already checked the dynamics
+            if not 0.0 < v.sensing_range < math.inf:
+                problems.append(f"vehicle {v.id}: sensing_range must be positive and finite")
+            if not (_finite_point(v.depot) and _finite_point(v.terminal)):
+                problems.append(f"vehicle {v.id}: depot and terminal must be finite")
+            if not 0.0 < v.r_min < math.inf:
                 problems.append(f"vehicle {v.id}: degenerate turn radius {v.r_min}")
         if not 0.0 <= self.alpha <= 1.0:
             problems.append(f"alpha must lie in [0, 1], got {self.alpha}")

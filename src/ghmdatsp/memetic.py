@@ -255,17 +255,17 @@ def encode(tourset: TourSet, roadmap: Roadmap) -> Chromosome:
 class Evaluator:
     """Caches the chromosome -> TourSet -> cost mapping for one run."""
 
-    __slots__ = ("roadmap", "use_nin", "evaluations")
+    __slots__ = ("roadmap", "evaluations")
 
-    def __init__(self, roadmap: Roadmap, use_nin: bool | None = None):
+    def __init__(self, roadmap: Roadmap):
         self.roadmap = roadmap
-        self.use_nin = roadmap.instance.nin_enabled if use_nin is None else use_nin
         self.evaluations = 0
 
     def tours(self, chrom: Chromosome) -> TourSet:
+        """Decode, pruning exactly when the instance has crossings on."""
         if chrom.cached_tours is None:
             self.evaluations += 1
-            ts = _decode(chrom, self.roadmap, self.use_nin)
+            ts = _decode(chrom, self.roadmap, self.roadmap.instance.nin_enabled)
             chrom.cached_tours = ts
             chrom.cached_cost = ts.objective
         return chrom.cached_tours
@@ -354,26 +354,27 @@ def reverse_vehicle_segment(chrom: Chromosome, vehicle_index: int, i: int, j: in
 # Improvement operators (improve-or-reject wrappers)
 
 
+def _keep_if_cheaper(cand: Chromosome, chrom: Chromosome, ev: Evaluator) -> Chromosome:
+    """The improve-or-reject rule: ``cand`` if it costs strictly less than
+    ``chrom``, else the input object ``chrom`` itself."""
+    if cand is chrom:
+        return chrom
+    return cand if ev.cost(cand) < ev.cost(chrom) else chrom
+
+
 def global_2opt(chrom: Chromosome, i: int, j: int, ev: Evaluator) -> Chromosome:
     """2-opt across the whole gene string; keeps the input unless it improves."""
-    if i == j:
-        return chrom
-    cand = reverse_segment(chrom, i, j)
-    return cand if ev.cost(cand) < ev.cost(chrom) else chrom
+    return _keep_if_cheaper(reverse_segment(chrom, i, j), chrom, ev)
 
 
 def local_2opt(chrom: Chromosome, vehicle_index: int, i: int, j: int, ev: Evaluator) -> Chromosome:
     """2-opt confined to one vehicle's task genes; improve-or-reject."""
-    if i == j:
-        return chrom
-    cand = reverse_vehicle_segment(chrom, vehicle_index, i, j)
-    return cand if ev.cost(cand) < ev.cost(chrom) else chrom
+    return _keep_if_cheaper(reverse_vehicle_segment(chrom, vehicle_index, i, j), chrom, ev)
 
 
 def task_swap(chrom: Chromosome, i: int, j: int, ev: Evaluator) -> Chromosome:
     """Exchange two genes; improve-or-reject."""
-    cand = swap_genes(chrom, i, j)
-    return cand if ev.cost(cand) < ev.cost(chrom) else chrom
+    return _keep_if_cheaper(swap_genes(chrom, i, j), chrom, ev)
 
 
 def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
@@ -384,6 +385,11 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
     other node of the current tours.  The whole scan is rolled back if the
     re-decoded cost fails to improve strictly.
     """
+    return _keep_if_cheaper(_resampled(chrom, ev), chrom, ev)
+
+
+def _resampled(chrom: Chromosome, ev: Evaluator) -> Chromosome:
+    """The sample-swap scan's candidate; ``chrom`` itself if no sample moved."""
     rm = ev.roadmap
     ts = ev.tours(chrom)
     nin_of = rm.nin_node_to_tasks
@@ -447,63 +453,53 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
             changed = True
     if not changed:
         return chrom
-    cand = Chromosome(genes, samples, chrom.payloads)
-    return cand if ev.cost(cand) < ev.cost(chrom) else chrom
+    return Chromosome(genes, samples, chrom.payloads)
+
+
+#: Local-search operators, in the order their tallies are kept.
+OPERATORS = ("global_2opt", "local_2opt", "task_swap", "sample_swap")
 
 
 @dataclass
 class ImproveStats:
-    attempts: dict = field(default_factory=lambda: {
-        "global_2opt": 0, "local_2opt": 0, "task_swap": 0, "sample_swap": 0})
-    accepts: dict = field(default_factory=lambda: {
-        "global_2opt": 0, "local_2opt": 0, "task_swap": 0, "sample_swap": 0})
+    attempts: dict = field(default_factory=lambda: dict.fromkeys(OPERATORS, 0))
+    accepts: dict = field(default_factory=lambda: dict.fromkeys(OPERATORS, 0))
 
 
-def _try_global(chrom, ev, rng, stats):
-    length = len(chrom)
-    i = rng.randint(1, length - 1)
-    j = rng.randint(i + 1, length)
-    out = global_2opt(chrom, i, j, ev)
-    stats.attempts["global_2opt"] += 1
-    if out is not chrom:
-        stats.accepts["global_2opt"] += 1
-    return out
-
-
-def _try_local(chrom, ev, rng, stats):
-    positions = _vehicle_task_positions(chrom)
-    eligible = [vi for vi, ps in enumerate(positions) if len(ps) >= 2]
-    stats.attempts["local_2opt"] += 1
-    if not eligible:
-        return chrom
-    vi = rng.choice(eligible)
-    count = len(positions[vi])
+def _ordered_pair(rng: random.Random, count: int) -> tuple[int, int]:
+    """Positions 1 <= i < j <= count, drawn i first."""
     i = rng.randint(1, count - 1)
-    j = rng.randint(i + 1, count)
-    out = local_2opt(chrom, vi, i, j, ev)
+    return i, rng.randint(i + 1, count)
+
+
+def _move(op: str, chrom: Chromosome, ev: Evaluator, rng: random.Random,
+          stats: ImproveStats) -> Chromosome:
+    """One tallied attempt of operator ``op``: draw its positions, build the
+    candidate and keep it only if strictly cheaper.
+
+    A local 2-opt with no vehicle holding two tasks counts as a rejected
+    attempt and draws nothing.
+    """
+    stats.attempts[op] += 1
+    if op == "global_2opt":
+        cand = reverse_segment(chrom, *_ordered_pair(rng, len(chrom)))
+    elif op == "local_2opt":
+        positions = _vehicle_task_positions(chrom)
+        eligible = [vi for vi, ps in enumerate(positions) if len(ps) >= 2]
+        cand = chrom
+        if eligible:
+            vi = rng.choice(eligible)
+            cand = reverse_vehicle_segment(chrom, vi, *_ordered_pair(rng, len(positions[vi])))
+    elif op == "task_swap":
+        length = len(chrom)
+        i = rng.randint(1, length)
+        j = rng.randint(1, length - 1)
+        cand = swap_genes(chrom, i, j + (j >= i))
+    else:
+        cand = _resampled(chrom, ev)
+    out = _keep_if_cheaper(cand, chrom, ev)
     if out is not chrom:
-        stats.accepts["local_2opt"] += 1
-    return out
-
-
-def _try_task_swap(chrom, ev, rng, stats):
-    length = len(chrom)
-    i = rng.randint(1, length)
-    j = rng.randint(1, length - 1)
-    if j >= i:
-        j += 1
-    out = task_swap(chrom, i, j, ev)
-    stats.attempts["task_swap"] += 1
-    if out is not chrom:
-        stats.accepts["task_swap"] += 1
-    return out
-
-
-def _try_sample_swap(chrom, ev, stats):
-    out = sample_swap(chrom, ev)
-    stats.attempts["sample_swap"] += 1
-    if out is not chrom:
-        stats.accepts["sample_swap"] += 1
+        stats.accepts[op] += 1
     return out
 
 
@@ -519,21 +515,19 @@ def improve(chrom: Chromosome, level: str, params: MAParams, ev: Evaluator,
     if stats is None:
         stats = ImproveStats()
     if level == "I":
-        chrom = _try_global(chrom, ev, rng, stats)
-        chrom = _try_local(chrom, ev, rng, stats)
-        chrom = _try_sample_swap(chrom, ev, stats)
-        for _ in range(params.task_swap_repeats_l1):
-            chrom = _try_task_swap(chrom, ev, rng, stats)
+        ops = ["global_2opt", "local_2opt", "sample_swap"]
+        for op in ops + ["task_swap"] * params.task_swap_repeats_l1:
+            chrom = _move(op, chrom, ev, rng, stats)
         return chrom
     if level == "II":
-        for op in (_try_global, _try_local, _try_task_swap):
+        for op in ("global_2opt", "local_2opt", "task_swap"):
             streak = 0
             while streak < params.stagnation_streak_l2:
-                out = op(chrom, ev, rng, stats)
+                out = _move(op, chrom, ev, rng, stats)
                 streak = 0 if out is not chrom else streak + 1
                 chrom = out
         for _ in range(params.sample_swap_repeats_l2):
-            chrom = _try_sample_swap(chrom, ev, stats)
+            chrom = _move("sample_swap", chrom, ev, rng, stats)
         return chrom
     raise ValueError(f"level must be 'I' or 'II', got {level!r}")
 

@@ -32,6 +32,11 @@ class TestGenerate:
         assert inst.samples_per_cluster == 5
         assert fingerprint(inst) in capsys.readouterr().out
 
+    def test_no_options_write_the_default_instance(self, tmp_path):
+        out = tmp_path / "inst.json"
+        assert main(["generate", "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == build_instance().to_json() + "\n"
+
     def test_four_vehicles_use_default_depots(self, tmp_path):
         out = tmp_path / "inst.json"
         main(["generate", "--vehicles", "4", "--out", str(out)])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -36,8 +37,8 @@ class TestExportMilp:
         assert model.continuous == ["z"]
 
     def test_alpha_one_zeroes_z_coefficient(self, no_nin_pair):
-        _, rm = no_nin_pair
-        model = export_milp(rm, alpha=1.0)
+        inst, _ = no_nin_pair
+        model = export_milp(build_roadmap(dataclasses.replace(inst, alpha=1.0)))
         assert model.objective["z"] == 0.0
 
     def test_lp_text_shape(self, no_nin_pair):

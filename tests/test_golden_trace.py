@@ -2,8 +2,9 @@
 
 The values were recorded with the scalar cost table, before the vectorized
 Dubins kernel replaced it.  A hot-path change passes only if, per seed, the
-best cost of every generation, the termination reason, the final node tours
-and the pruned nodes (in deletion order) all stay the same.
+best cost of every generation, the termination reason, the final node tours,
+the pruned nodes (in deletion order) and the local-search operators' attempt
+and accept tallies all stay the same.
 """
 
 import pytest
@@ -63,6 +64,35 @@ GOLDEN = {
     },
 }
 
+# (vehicles, seed) -> operator (attempts, accepts), recorded before the local
+# search's move steps were folded into one
+OPERATOR_TALLIES = {
+    (1, 1): {
+        "global_2opt": (615, 134),
+        "local_2opt": (615, 128),
+        "task_swap": (2797, 459),
+        "sample_swap": (563, 518),
+    },
+    (1, 2): {
+        "global_2opt": (598, 116),
+        "local_2opt": (598, 110),
+        "task_swap": (2790, 397),
+        "sample_swap": (563, 530),
+    },
+    (4, 1): {
+        "global_2opt": (559, 216),
+        "local_2opt": (559, 167),
+        "task_swap": (2755, 639),
+        "sample_swap": (552, 529),
+    },
+    (4, 2): {
+        "global_2opt": (550, 199),
+        "local_2opt": (550, 182),
+        "task_swap": (2750, 618),
+        "sample_swap": (550, 535),
+    },
+}
+
 
 @pytest.mark.parametrize("vehicles,seed", sorted(GOLDEN))
 def test_search_trace_matches_golden(vehicles, seed):
@@ -74,3 +104,6 @@ def test_search_trace_matches_golden(vehicles, seed):
     assert res.termination_reason == want["reason"]
     assert res.best.tours == want["tours"]
     assert res.best.deleted == want["deleted"]
+    tallies = {op: (res.op_stats.attempts[op], res.op_stats.accepts[op])
+               for op in res.op_stats.attempts}
+    assert tallies == OPERATOR_TALLIES[(vehicles, seed)]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -103,3 +104,42 @@ class TestBuildInstance:
         assert inst.cost_metric == "time"
         with pytest.raises(InstanceError):
             build_instance(cost_metric="fuel")
+
+
+THREE_TASKS = [(0.0, 0.0), (400.0, 0.0), (0.0, 400.0)]
+NON_FINITE_FIELDS = ["velocity", "load_factor", "gravity", "sensing_range", "task_radius",
+                     "task_center", "depot", "terminal"]
+
+
+def _build_with(field, bad):
+    centers, kw = list(THREE_TASKS), {"depots": [(200.0, 200.0)]}
+    if field == "task_center":
+        centers[1] = (bad, 0.0)
+    elif field in ("depot", "terminal"):
+        kw[field + "s"] = [(200.0, bad)]
+    else:
+        kw[field] = bad
+    return build_instance(centers, **kw)
+
+
+def _from_json_with(field, bad):
+    doc = json.loads(build_instance(THREE_TASKS, depots=[(200.0, 200.0)]).to_json())
+    task, veh = doc["tasks"][1], doc["vehicles"][0]
+    if field == "task_radius":
+        task["radius"] = bad
+    elif field == "task_center":
+        task["center"] = [bad, 0.0]
+    elif field in ("depot", "terminal"):
+        veh[field] = [200.0, bad]
+    else:
+        veh[field] = bad
+    return Instance.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entry", [_build_with, _from_json_with],
+                         ids=["build_instance", "from_json"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+def test_non_finite_value_rejected(entry, bad, field):
+    with pytest.raises(InstanceError, match="finite"):
+        entry(field, bad)

@@ -174,7 +174,7 @@ class TestDecodeNin:
 class TestEvaluatorCache:
     def test_cache_hits_do_not_recompute(self, worked_example):
         _, rm, chrom = worked_example
-        ev = Evaluator(rm, use_nin=False)
+        ev = Evaluator(rm)
         c1 = ev.cost(chrom)
         n = ev.evaluations
         assert ev.cost(chrom) == c1

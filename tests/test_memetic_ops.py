@@ -38,7 +38,7 @@ def fields(chrom):
 @pytest.fixture()
 def example(worked_example):
     inst, rm, chrom = worked_example
-    return inst, rm, chrom, Evaluator(rm, use_nin=False)
+    return inst, rm, chrom, Evaluator(rm)
 
 
 class TestReverseSegment:
