@@ -357,8 +357,6 @@ def reverse_vehicle_segment(chrom: Chromosome, vehicle_index: int, i: int, j: in
 def _keep_if_cheaper(cand: Chromosome, chrom: Chromosome, ev: Evaluator) -> Chromosome:
     """The improve-or-reject rule: ``cand`` if it costs strictly less than
     ``chrom``, else the input object ``chrom`` itself."""
-    if cand is chrom:
-        return chrom
     return cand if ev.cost(cand) < ev.cost(chrom) else chrom
 
 
@@ -385,11 +383,6 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
     other node of the current tours.  The whole scan is rolled back if the
     re-decoded cost fails to improve strictly.
     """
-    return _keep_if_cheaper(_resampled(chrom, ev), chrom, ev)
-
-
-def _resampled(chrom: Chromosome, ev: Evaluator) -> Chromosome:
-    """The sample-swap scan's candidate; ``chrom`` itself if no sample moved."""
     rm = ev.roadmap
     ts = ev.tours(chrom)
     nin_of = rm.nin_node_to_tasks
@@ -453,7 +446,7 @@ def _resampled(chrom: Chromosome, ev: Evaluator) -> Chromosome:
             changed = True
     if not changed:
         return chrom
-    return Chromosome(genes, samples, chrom.payloads)
+    return _keep_if_cheaper(Chromosome(genes, samples, chrom.payloads), chrom, ev)
 
 
 #: Local-search operators, in the order their tallies are kept.
@@ -474,30 +467,28 @@ def _ordered_pair(rng: random.Random, count: int) -> tuple[int, int]:
 
 def _move(op: str, chrom: Chromosome, ev: Evaluator, rng: random.Random,
           stats: ImproveStats) -> Chromosome:
-    """One tallied attempt of operator ``op``: draw its positions, build the
-    candidate and keep it only if strictly cheaper.
+    """One tallied attempt of operator ``op``: draw its positions and apply it.
 
     A local 2-opt with no vehicle holding two tasks counts as a rejected
     attempt and draws nothing.
     """
     stats.attempts[op] += 1
     if op == "global_2opt":
-        cand = reverse_segment(chrom, *_ordered_pair(rng, len(chrom)))
+        out = global_2opt(chrom, *_ordered_pair(rng, len(chrom)), ev)
     elif op == "local_2opt":
         positions = _vehicle_task_positions(chrom)
         eligible = [vi for vi, ps in enumerate(positions) if len(ps) >= 2]
-        cand = chrom
+        out = chrom
         if eligible:
             vi = rng.choice(eligible)
-            cand = reverse_vehicle_segment(chrom, vi, *_ordered_pair(rng, len(positions[vi])))
+            out = local_2opt(chrom, vi, *_ordered_pair(rng, len(positions[vi])), ev)
     elif op == "task_swap":
         length = len(chrom)
         i = rng.randint(1, length)
         j = rng.randint(1, length - 1)
-        cand = swap_genes(chrom, i, j + (j >= i))
+        out = task_swap(chrom, i, j + (j >= i), ev)
     else:
-        cand = _resampled(chrom, ev)
-    out = _keep_if_cheaper(cand, chrom, ev)
+        out = sample_swap(chrom, ev)
     if out is not chrom:
         stats.accepts[op] += 1
     return out
