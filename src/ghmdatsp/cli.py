@@ -18,7 +18,7 @@ from pathlib import Path
 from . import exact, memetic
 from .instance import (DEFAULT_ALPHA, DEFAULT_SAMPLES_PER_CLUSTER, DEFAULT_SENSING_RANGE,
                        DEFAULT_VELOCITY, Instance, build_instance, load_tsplib)
-from .memetic import MAParams, TourSet, evaluate
+from .memetic import MAParams, TourSet
 from .refine import (RefineError, build_chain, refine, refined_objective,
                      refined_vehicle_costs)
 from .roadmap import Roadmap, build_roadmap
@@ -105,12 +105,6 @@ def tour_document(instance: Instance, roadmap: Roadmap, tourset: TourSet, method
         doc["refine_sweeps"] = refine_result.sweeps
         doc["refine_cost_trace"] = refine_result.cost_trace
     return doc
-
-
-def evaluate_tour_document(doc: dict, instance: Instance) -> float:
-    """Recompute the objective from the stored per-vehicle costs."""
-    costs = [v["cost"] for v in doc["vehicles"]]
-    return evaluate(costs, instance.alpha, instance.n_vehicles)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +264,12 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     config = json.loads(args.config.read_text())
+    if not isinstance(config, dict):
+        raise UsageError(f"bench config must be a JSON object, got {type(config).__name__}")
+    not_lists = [key for key in ("vehicles", "samples", "seeds", "methods")
+                 if not isinstance(config.get(key, []), list)]
+    if not_lists:
+        raise UsageError(f"bench config axes must be lists: {', '.join(not_lists)}")
     vehicles = config.get("vehicles", [1])
     samples = config.get("samples", [DEFAULT_SAMPLES_PER_CLUSTER])
     seeds = config.get("seeds", [0])

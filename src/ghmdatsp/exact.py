@@ -6,13 +6,16 @@ continuous variable linearizing the max-cost term.  Subtour-elimination
 rows are not enumerated up front; :func:`find_subtours` separates violated
 ones from integral candidates so they can be added lazily.
 
-The brute-force solver is intended for desk-scale validation only; it
-enumerates every coverage-feasible assignment and visit order exhaustively
-and is exact.
+The brute-force solver is intended for desk-scale validation only and is
+exact: over every coverage-feasible assignment it takes the cheapest visit
+order per vehicle (Held-Karp), then the least objective within 1e-12, then
+the smaller tours.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -340,19 +343,19 @@ def solve_bruteforce(roadmap: Roadmap) -> TourSet:
     """Exact minimizer over every assignment, sample choice and visit order.
 
     Tasks may be left unassigned only when a visited node necessarily
-    crosses them.  Deterministic: ties break toward the lexicographically
-    smallest tour encoding.  Raises :class:`SizeLimitError` when the
-    enumeration bound exceeds :data:`LEAF_LIMIT`.
+    crosses them.  The blended objective never falls as one vehicle's cost
+    grows, so each vehicle takes the cheapest order of its own nodes, from a
+    memoized Held-Karp path search (equal costs go to the smaller tour).
+    Across assignments the objective decides within 1e-12, then the smaller
+    ``tours``.  Raises :class:`SizeLimitError` when the enumeration bound
+    exceeds :data:`LEAF_LIMIT`.
     """
     inst = roadmap.instance
     bound = enumeration_size(inst.n_tasks, inst.n_vehicles, inst.samples_per_cluster)
     if bound > LEAF_LIMIT:
         raise SizeLimitError(f"enumeration needs ~{bound:.3g} leaves > limit {LEAF_LIMIT:.3g}")
 
-    veh_ids = [v.id for v in inst.vehicles]
-    m = len(veh_ids)
-    task_ids = [t.id for t in inst.tasks]
-    nin_of = roadmap.nin_node_to_tasks
+    veh_ids = roadmap.vehicle_ids
     # the enumeration fixes each tour's ends, so each end cluster needs one node
     for k in veh_ids:
         for cluster, name in ((DEPOT, "depot"), (TERMINAL, "terminal")):
@@ -363,68 +366,30 @@ def solve_bruteforce(roadmap: Roadmap) -> TourSet:
     depot = {k: roadmap.cluster_ids[(k, DEPOT)][0] for k in veh_ids}
     term = {k: roadmap.cluster_ids[(k, TERMINAL)][0] for k in veh_ids}
 
-    best: list = [math.inf, None]  # objective, TourSet
+    @functools.cache
+    def path(k: int, nodes: int, last: int) -> tuple[float, tuple[int, ...]]:
+        """Cheapest (cost, tour) from k's depot through every node whose id
+        is a set bit of ``nodes`` to ``last``."""
+        if not nodes:
+            return roadmap.edge_cost(k, depot[k], last), (depot[k], last)
+        # legs add in tour order, as in Roadmap.tour_cost
+        return min((cost + roadmap.edge_cost(k, prev, last), tour + (last,))
+                   for prev in range(nodes.bit_length()) if nodes >> prev & 1
+                   for cost, tour in [path(k, nodes ^ 1 << prev, prev)])
 
-    def consider(tours):
-        ts = TourSet.from_tours(tours, roadmap)
-        obj = ts.objective
-        if obj < best[0] - 1e-12 or (abs(obj - best[0]) <= 1e-12 and
-                                     (best[1] is None or ts.tours < best[1].tours)):
-            best[0] = obj
-            best[1] = ts
-
-    def orders(tours, partial_costs, vi, remaining):
-        """Extend vehicle vi's tour with every order of its remaining tasks."""
-        if not remaining:
-            if vi == m - 1:
-                consider([t + [term[k]] for t, k in zip(tours, veh_ids)])
-            else:
-                orders(tours, partial_costs, vi + 1, assignment[vi + 1])
-            return
-        k = veh_ids[vi]
-        tour = tours[vi]
-        for node in sorted(remaining):
-            step = roadmap.edge_cost(k, tour[-1], node)
-            partial_costs[vi] += step
-            # blended objective only grows as legs append, so prune on it
-            lower = evaluate(partial_costs, inst.alpha, m)
-            if lower < best[0] + 1e-12:
-                tour.append(node)
-                remaining.remove(node)
-                orders(tours, partial_costs, vi, remaining)
-                remaining.add(node)
-                tour.pop()
-            partial_costs[vi] -= step
-        return
-
-    assignment: list[set[int]] = [set() for _ in veh_ids]
-
-    def assign(idx: int, chosen_nodes: list[int]):
-        if idx == len(task_ids):
-            covered = set()
-            for nid in chosen_nodes:
-                covered.update(nin_of[nid])
-            direct = {roadmap.node_by_id[nid].cluster for nid in chosen_nodes}
-            if any(t not in covered and t not in direct for t in skipped):
-                return
-            tours = [[depot[k]] for k in veh_ids]
-            partial = [0.0] * m
-            orders(tours, partial, 0, assignment[0])
-            return
-        t = task_ids[idx]
-        # option: leave the task to indirect coverage
-        skipped.append(t)
-        assign(idx + 1, chosen_nodes)
-        skipped.pop()
-        for vi, k in enumerate(veh_ids):
-            for nid in roadmap.cluster_ids[(k, t)]:
-                assignment[vi].add(nid)
-                chosen_nodes.append(nid)
-                assign(idx + 1, chosen_nodes)
-                chosen_nodes.pop()
-                assignment[vi].discard(nid)
-
-    skipped: list[int] = []
-    assign(0, [])
-
-    return best[1]
+    # each task is left to a crossing (None) or takes one node of one vehicle
+    options = [[None] + [s for k in veh_ids for s in roadmap.cluster_nodes(k, t.id)]
+               for t in inst.tasks]
+    best_obj, best_tours = math.inf, None
+    for chosen in itertools.product(*options):
+        picked = [s for s in chosen if s is not None]
+        crossed = set().union(*(roadmap.nin_node_to_tasks[s.id] for s in picked))
+        if any(s is None and t.id not in crossed for s, t in zip(chosen, inst.tasks)):
+            continue
+        costs, tours = zip(*(path(k, sum(1 << s.id for s in picked if s.vehicle == k), term[k])
+                             for k in veh_ids))
+        obj = evaluate(costs, inst.alpha)
+        if obj < best_obj - 1e-12 or (abs(obj - best_obj) <= 1e-12 and tours < best_tours):
+            best_obj, best_tours = obj, tours
+    path.cache_clear()  # path refers to itself, so only a full collection would free it
+    return TourSet.from_tours(best_tours, roadmap)

@@ -50,6 +50,41 @@ def _finite_point(point) -> bool:
     return all(map(math.isfinite, point))
 
 
+#: Keys of an instance document, each with the JSON kind it holds.
+_INSTANCE_KEYS = {"tasks": "list", "vehicles": "list", "alpha": "number",
+                  "cost_metric": "string", "samples_per_cluster": "integer",
+                  "seed": "integer", "nin_enabled": "boolean"}
+_TASK_KEYS = {"id": "integer", "center": "point", "radius": "number"}
+_VEHICLE_KEYS = {"id": "integer", "velocity": "number", "load_factor": "number",
+                 "gravity": "number", "depot": "point", "terminal": "point",
+                 "sensing_range": "number"}
+#: Keys a document may leave out; :meth:`Instance.from_json` fills in defaults.
+_OPTIONAL_KEYS = ("gravity", "nin_enabled")
+_KINDS = {"list": list, "number": (int, float), "string": str, "integer": int,
+          "boolean": bool}
+
+
+def _is_kind(value, kind: str) -> bool:
+    if kind == "point":
+        return isinstance(value, list) and len(value) == 2 and all(
+            _is_kind(x, "number") for x in value)
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, _KINDS[kind]) and (kind == "boolean") == isinstance(value, bool)
+
+
+def _check_keys(doc, keys: dict[str, str], where: str) -> None:
+    """Raise :class:`InstanceError` unless ``doc`` is an object holding every
+    required key of ``keys`` with its kind."""
+    if not isinstance(doc, dict):
+        raise InstanceError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    problems = [f"{where}: missing key {key!r}" for key in keys
+                if key not in doc and key not in _OPTIONAL_KEYS]
+    problems += [f"{where}: {key!r} expects {kind}, got {doc[key]!r}"
+                 for key, kind in keys.items() if key in doc and not _is_kind(doc[key], kind)]
+    if problems:
+        raise InstanceError("; ".join(problems))
+
+
 @dataclass(frozen=True)
 class Task:
     """A task disk: visiting any pose inside it completes the task."""
@@ -155,6 +190,10 @@ class Instance:
     @staticmethod
     def from_json(text: str) -> "Instance":
         doc = json.loads(text)
+        _check_keys(doc, _INSTANCE_KEYS, "instance")
+        for name, keys in (("tasks", _TASK_KEYS), ("vehicles", _VEHICLE_KEYS)):
+            for i, entry in enumerate(doc[name]):
+                _check_keys(entry, keys, f"{name}[{i}]")
         tasks = tuple(
             Task(id=t["id"], center=tuple(t["center"]), radius=t["radius"]) for t in doc["tasks"]
         )

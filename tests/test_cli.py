@@ -7,8 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from ghmdatsp import cli, memetic
-from ghmdatsp.cli import (EXIT_OK, EXIT_SOLVE, EXIT_USAGE, evaluate_tour_document,
-                          fingerprint, main)
+from ghmdatsp.cli import EXIT_OK, EXIT_SOLVE, EXIT_USAGE, fingerprint, main
 from ghmdatsp.instance import Instance, build_instance
 
 from conftest import random_tiny_instance
@@ -82,7 +81,8 @@ class TestSolve:
         main(["solve", str(path), "--method", "oracle", "--out", str(out)])
         doc = json.loads(out.read_text())
         assert doc["instance_fingerprint"] == fingerprint(inst)
-        assert evaluate_tour_document(doc, inst) == pytest.approx(doc["objective"], rel=1e-9)
+        costs = [v["cost"] for v in doc["vehicles"]]
+        assert memetic.evaluate(costs, inst.alpha) == pytest.approx(doc["objective"], rel=1e-9)
 
     def test_refined_tour_json_carries_chain(self, tiny_file, tmp_path):
         _, path = tiny_file
@@ -96,7 +96,8 @@ class TestSolve:
         for ventry in refined:
             assert ventry["refined_chain"]["refined"] is True
         inst = Instance.from_json(path.read_text())
-        assert evaluate_tour_document(doc, inst) == pytest.approx(doc["objective"], rel=1e-9)
+        costs = [v["cost"] for v in doc["vehicles"]]
+        assert memetic.evaluate(costs, inst.alpha) == pytest.approx(doc["objective"], rel=1e-9)
         assert (out.parent / "tour.history.json").exists()
 
     def test_svg_output_is_valid_and_anchored(self, tiny_file, tmp_path):
@@ -130,6 +131,21 @@ class TestSolve:
 
     def test_missing_instance_is_solve_error(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == EXIT_SOLVE
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"tasks": []}',
+        json.dumps({**json.loads(random_tiny_instance(0).to_json()),
+                    "vehicles": [{"id": 1, "velocity": "fast", "load_factor": 4.0,
+                                  "depot": [0.0, 0.0], "terminal": [0.0, 0.0],
+                                  "sensing_range": 150.0}]}),
+    ], ids=["not-an-object", "missing-keys", "string-velocity"])
+    def test_malformed_instance_is_solve_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == EXIT_SOLVE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solve error: ")
 
     def test_refine_without_nin_is_usage_error(self, tiny_file):
         _, path = tiny_file
@@ -214,6 +230,21 @@ class TestBench:
         err = capsys.readouterr().err
         assert method in err
         assert all(known in err for known in ("MA-NIN", "MA-noNIN", "MA-NIN-PR", "ORACLE"))
+        assert not (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("config", [
+        [1], {"vehicles": 2}, {"samples": 5}, {"seeds": 0}, {"methods": "MA-NIN"},
+    ], ids=["not-an-object", "vehicles", "samples", "seeds", "methods"])
+    def test_malformed_config_is_usage_error(self, tmp_path, monkeypatch, capsys, config):
+        def no_cell(inst):
+            raise AssertionError("a bench cell ran")
+
+        monkeypatch.setattr(cli, "build_roadmap", no_cell)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["bench", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
         assert not (tmp_path / "bench.csv").exists()
 
     def test_failures_recorded_and_run_continues(self, tmp_path):

@@ -143,3 +143,18 @@ def _from_json_with(field, bad):
 def test_non_finite_value_rejected(entry, bad, field):
     with pytest.raises(InstanceError, match="finite"):
         entry(field, bad)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "instance must be a JSON object, got list"),
+    ('{"tasks": []}', "instance: missing key 'vehicles'"),
+], ids=["not-an-object", "missing-keys"])
+def test_malformed_document_rejected(text, message):
+    with pytest.raises(InstanceError, match=message):
+        Instance.from_json(text)
+
+
+@pytest.mark.parametrize("bad", ["fast", True, [50.0]], ids=["string", "bool", "list"])
+def test_wrong_typed_value_rejected(bad):
+    with pytest.raises(InstanceError, match="vehicles\\[0\\]: 'velocity' expects number"):
+        _from_json_with("velocity", bad)
