@@ -8,6 +8,7 @@ and drops an SVG drawing next to this script.
 from pathlib import Path
 
 from ghmdatsp import MAParams, build_instance, build_roadmap, run
+from ghmdatsp.cli import tour_document
 from ghmdatsp.refine import build_chain, refine, refined_objective
 from ghmdatsp.svgplot import render_solution
 
@@ -40,5 +41,6 @@ print(f"refined: objective {objective:.1f} "
       f"({100 * (1 - objective / result.best_cost):.1f}% below the sampled tour)")
 
 out = Path(__file__).with_name("quickstart_tour.svg")
-out.write_text(render_solution(instance, roadmap, chains=polished.chains))
+document = tour_document(instance, roadmap, result.best, "MA-NIN-PR", objective, polished)
+out.write_text(render_solution(instance, document))
 print(f"wrote {out}")

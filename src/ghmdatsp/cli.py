@@ -12,12 +12,13 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import exact, memetic
 from .instance import (DEFAULT_ALPHA, DEFAULT_SAMPLES_PER_CLUSTER, DEFAULT_SENSING_RANGE,
-                       DEFAULT_VELOCITY, Instance, build_instance, load_tsplib)
+                       DEFAULT_VELOCITY, Instance, InstanceError, _check_keys, build_instance,
+                       builtin_task_centers, load_tsplib)
 from .memetic import MAParams, TourSet
 from .refine import (RefineError, build_chain, refine, refined_objective,
                      refined_vehicle_costs)
@@ -28,7 +29,17 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SOLVE = 2
 
-BENCH_METHODS = ("MA-NIN", "MA-noNIN", "MA-NIN-PR", "ORACLE")
+BENCH_METHODS = ("MA-NIN", "MA-noNIN", "MA-NIN-PR")
+
+#: Keys of a bench config, each with the JSON kind it holds; all are optional.
+BENCH_KEYS = {"vehicles": "list of integer", "samples": "list of integer",
+              "seeds": "list of integer", "methods": "list of string",
+              "velocity": "number or list of number", "alpha": "number",
+              "range": "number or list of number", "metric": "string"}
+
+#: Options of `solve` that only some methods read.
+METHOD_OPTIONS = {"--refine": ("ma",), "--seed": ("ma",), "--time-limit": ("ma",),
+                  "--svg": ("ma", "oracle")}
 
 
 class UsageError(Exception):
@@ -45,25 +56,15 @@ def fingerprint(instance: Instance) -> str:
     return f"{digest}-seed{instance.seed}"
 
 
-@dataclass
-class RunReport:
-    instance_fingerprint: str
-    method: str
-    wall_time_s: float
-    objective: float | None = None
-    generations: int | None = None
-    termination_reason: str | None = None
-
-    def summary(self) -> str:
-        parts = [f"method={self.method}", f"instance={self.instance_fingerprint}"]
-        if self.objective is not None:
-            parts.append(f"objective={self.objective:.1f}")
-        if self.generations is not None:
-            parts.append(f"generations={self.generations}")
-        if self.termination_reason:
-            parts.append(f"stop={self.termination_reason}")
-        parts.append(f"wall={self.wall_time_s:.1f}s")
-        return "  ".join(parts)
+def _summary(instance: Instance, method: str, t0: float, objective=None, result=None) -> str:
+    """The one line `solve` prints: what ran, on what, with what outcome."""
+    parts = [f"method={method}", f"instance={fingerprint(instance)}"]
+    if objective is not None:
+        parts.append(f"objective={objective:.1f}")
+    if result is not None:
+        parts += [f"generations={result.generations}", f"stop={result.termination_reason}"]
+    parts.append(f"wall={time.monotonic() - t0:.1f}s")
+    return "  ".join(parts)
 
 
 def tour_document(instance: Instance, roadmap: Roadmap, tourset: TourSet, method: str,
@@ -113,8 +114,10 @@ def tour_document(instance: Instance, roadmap: Roadmap, tourset: TourSet, method
 
 def _add_generate(sub):
     p = sub.add_parser("generate", help="write an instance JSON file")
-    p.add_argument("--tsplib", type=Path, help="TSPLIB file with NODE_COORD_SECTION")
-    p.add_argument("--builtin", default=None, help="bundled point set name (default bays29)")
+    p.set_defaults(run=cmd_generate)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--tsplib", type=Path, help="TSPLIB file with NODE_COORD_SECTION")
+    source.add_argument("--builtin", default=None, help="bundled point set name (default bays29)")
     p.add_argument("--vehicles", type=int, default=1)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES_PER_CLUSTER)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
@@ -137,12 +140,13 @@ def _time_limit(text: str) -> float:
 
 def _add_solve(sub):
     p = sub.add_parser("solve", help="solve an instance JSON file")
+    p.set_defaults(run=cmd_solve)
     p.add_argument("instance", type=Path)
     p.add_argument("--method", choices=("ma", "oracle", "milp-export"), default="ma")
     nin = p.add_mutually_exclusive_group()
     nin.add_argument("--nin", dest="nin", action="store_true", default=None)
     nin.add_argument("--no-nin", dest="nin", action="store_false")
-    p.add_argument("--refine", action="store_true")
+    p.add_argument("--refine", action="store_true", default=None)
     p.add_argument("--seed", type=int, default=None, help="override the solver seed")
     p.add_argument("--time-limit", type=_time_limit, default=None)
     p.add_argument("--out", type=Path, help="tour JSON (ma/oracle) or model text (milp-export)")
@@ -151,29 +155,29 @@ def _add_solve(sub):
 
 def _add_bench(sub):
     p = sub.add_parser("bench", help="run a benchmark grid from a config file")
+    p.set_defaults(run=cmd_bench)
     p.add_argument("config", type=Path)
     p.add_argument("--out-dir", type=Path, default=Path("."))
 
 
 def cmd_generate(args) -> int:
-    if args.tsplib is not None and args.builtin is not None:
-        raise UsageError("pass either --tsplib or --builtin, not both")
-    if args.tsplib is not None:
-        centers = load_tsplib(args.tsplib.read_text())
-    else:
-        from .instance import builtin_task_centers
-        centers = builtin_task_centers(args.builtin or "bays29")
-    inst = build_instance(
-        centers,
-        n_vehicles=args.vehicles,
-        samples_per_cluster=args.samples,
-        alpha=args.alpha,
-        velocity=args.velocity,
-        sensing_range=args.sensing_range,
-        cost_metric=args.metric,
-        nin_enabled=args.nin,
-        seed=args.seed,
-    )
+    centers = load_tsplib(args.tsplib.read_text()) if args.tsplib is not None else None
+    try:  # an invalid instance here comes from the option values
+        if centers is None:
+            centers = builtin_task_centers(args.builtin or "bays29")
+        inst = build_instance(
+            centers,
+            n_vehicles=args.vehicles,
+            samples_per_cluster=args.samples,
+            alpha=args.alpha,
+            velocity=args.velocity,
+            sensing_range=args.sensing_range,
+            cost_metric=args.metric,
+            nin_enabled=args.nin,
+            seed=args.seed,
+        )
+    except InstanceError as exc:
+        raise UsageError(exc) from exc
     args.out.write_text(inst.to_json() + "\n")
     print(f"wrote {args.out}  fingerprint={fingerprint(inst)}")
     return EXIT_OK
@@ -196,8 +200,11 @@ def _run_ma(roadmap: Roadmap, params: MAParams, refine_best: bool):
 
 
 def cmd_solve(args) -> int:
-    if args.refine and args.method != "ma":
-        raise UsageError(f"--refine applies only to --method ma, not {args.method}")
+    ignored = [opt for opt, methods in METHOD_OPTIONS.items()
+               if args.method not in methods
+               and getattr(args, opt[2:].replace("-", "_")) is not None]
+    if ignored:
+        raise UsageError(f"--method {args.method} ignores {', '.join(ignored)}")
     inst = Instance.from_json(args.instance.read_text())
     if args.nin is not None:
         inst = replace(inst, nin_enabled=args.nin)
@@ -206,70 +213,45 @@ def cmd_solve(args) -> int:
     t0 = time.monotonic()
     roadmap = build_roadmap(inst)
 
+    doc = result = refine_result = None
     if args.method == "milp-export":
-        model = exact.export_milp(roadmap)
         out = args.out or args.instance.with_suffix(".lp")
-        out.write_text(model.to_lp_text())
-        report = RunReport(fingerprint(inst), "MILP-EXPORT", time.monotonic() - t0)
+        out.write_text(exact.export_milp(roadmap).to_lp_text())
         print(f"wrote {out}")
-        print(report.summary())
-        return EXIT_OK
-
-    history_json = refine_result = None
-    if args.method == "oracle":
-        tourset = exact.solve_bruteforce(roadmap)
-        report = RunReport(
-            instance_fingerprint=fingerprint(inst),
-            method="ORACLE",
-            wall_time_s=time.monotonic() - t0,
-            objective=tourset.objective,
-        )
+        method, objective = "MILP-EXPORT", None
     else:
-        params = MAParams(seed=inst.seed if args.seed is None else args.seed,
-                          time_limit_s=args.time_limit)
-        result, refine_result, objective = _run_ma(roadmap, params, args.refine)
-        tourset = result.best
-        method = "MA-NIN" if inst.nin_enabled else "MA-noNIN"
-        if args.refine:
-            method = "MA-NIN-PR"
-        report = RunReport(
-            instance_fingerprint=fingerprint(inst),
-            method=method,
-            wall_time_s=time.monotonic() - t0,
-            objective=objective,
-            generations=result.generations,
-            termination_reason=result.termination_reason,
-        )
-        history_json = result.history_json()
-    doc = tour_document(inst, roadmap, tourset, report.method, report.objective,
-                        refine_result)
+        if args.method == "oracle":
+            tourset = exact.solve_bruteforce(roadmap)
+            method, objective = "ORACLE", tourset.objective
+        else:
+            params = MAParams(seed=inst.seed if args.seed is None else args.seed,
+                              time_limit_s=args.time_limit)
+            result, refine_result, objective = _run_ma(roadmap, params, args.refine)
+            tourset = result.best
+            method = ("MA-NIN-PR" if args.refine
+                      else "MA-NIN" if inst.nin_enabled else "MA-noNIN")
+        doc = tour_document(inst, roadmap, tourset, method, objective, refine_result)
+    print(_summary(inst, method, t0, objective, result))
 
-    print(report.summary())
-    if args.out:
+    if doc is not None and args.out:
         args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
-        if history_json is not None:
+        if result is not None:
             history_path = args.out.with_suffix(".history.json")
-            history_path.write_text(history_json + "\n")
+            history_path.write_text(result.history_json() + "\n")
             print(f"wrote {history_path}")
     if args.svg:
-        if refine_result is not None:
-            svg = render_solution(inst, roadmap, chains=refine_result.chains)
-        else:
-            svg = render_solution(inst, roadmap, tourset=tourset)
-        args.svg.write_text(svg)
+        args.svg.write_text(render_solution(inst, doc))
         print(f"wrote {args.svg}")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    config = json.loads(args.config.read_text())
-    if not isinstance(config, dict):
-        raise UsageError(f"bench config must be a JSON object, got {type(config).__name__}")
-    not_lists = [key for key in ("vehicles", "samples", "seeds", "methods")
-                 if not isinstance(config.get(key, []), list)]
-    if not_lists:
-        raise UsageError(f"bench config axes must be lists: {', '.join(not_lists)}")
+    try:
+        config = json.loads(args.config.read_text())
+        _check_keys(config, BENCH_KEYS, "bench config", optional=BENCH_KEYS)
+    except (json.JSONDecodeError, InstanceError) as exc:
+        raise UsageError(exc) from exc
     vehicles = config.get("vehicles", [1])
     samples = config.get("samples", [DEFAULT_SAMPLES_PER_CLUSTER])
     seeds = config.get("seeds", [0])
@@ -336,9 +318,6 @@ def _bench_cell(m, s, method, seed, velocity, alpha, sensing, metric):
         sensing_range=sensing, cost_metric=metric, nin_enabled=nin, seed=seed)
     t0 = time.monotonic()
     roadmap = build_roadmap(inst)
-    if method == "ORACLE":
-        ts = exact.solve_bruteforce(roadmap)
-        return ts.objective, time.monotonic() - t0
     _, _, objective = _run_ma(roadmap, MAParams(seed=seed), method.endswith("-PR"))
     return objective, time.monotonic() - t0
 
@@ -352,15 +331,7 @@ def main(argv=None) -> int:
     _add_bench(sub)
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        return cmd_bench(args)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

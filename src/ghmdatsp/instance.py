@@ -65,6 +65,13 @@ _KINDS = {"list": list, "number": (int, float), "string": str, "integer": int,
 
 
 def _is_kind(value, kind: str) -> bool:
+    """Whether ``value`` holds ``kind``: a name in ``_KINDS``, ``"point"``,
+    ``"list of <kind>"``, or alternatives joined by ``" or "``."""
+    if " or " in kind:
+        return any(_is_kind(value, k) for k in kind.split(" or "))
+    if kind.startswith("list of "):
+        item = kind.removeprefix("list of ")
+        return isinstance(value, list) and all(_is_kind(x, item) for x in value)
     if kind == "point":
         return isinstance(value, list) and len(value) == 2 and all(
             _is_kind(x, "number") for x in value)
@@ -72,13 +79,13 @@ def _is_kind(value, kind: str) -> bool:
     return isinstance(value, _KINDS[kind]) and (kind == "boolean") == isinstance(value, bool)
 
 
-def _check_keys(doc, keys: dict[str, str], where: str) -> None:
+def _check_keys(doc, keys: dict[str, str], where: str, optional=_OPTIONAL_KEYS) -> None:
     """Raise :class:`InstanceError` unless ``doc`` is an object holding every
-    required key of ``keys`` with its kind."""
+    key of ``keys`` that is not ``optional``, each key with its kind."""
     if not isinstance(doc, dict):
         raise InstanceError(f"{where} must be a JSON object, got {type(doc).__name__}")
     problems = [f"{where}: missing key {key!r}" for key in keys
-                if key not in doc and key not in _OPTIONAL_KEYS]
+                if key not in doc and key not in optional]
     problems += [f"{where}: {key!r} expects {kind}, got {doc[key]!r}"
                  for key, kind in keys.items() if key in doc and not _is_kind(doc[key], kind)]
     if problems:

@@ -1,8 +1,14 @@
-"""SVG rendering of instances and solved tours.
+"""SVG rendering of an instance and, optionally, the tour document solved on it.
+
+The document is the tour JSON payload of :func:`ghmdatsp.cli.tour_document`.
+Each vehicle's path is the Dubins path through its ``refined_chain`` states
+when the document was refined, and through its sampled ``nodes`` otherwise;
+a refined document leaves a vehicle without a chain undrawn.  Task disks
+that a node tour visits directly are filled, tasks covered only by a
+crossing path keep just their outline.
 
 Coordinate frame is y-up with one unit per meter; the viewBox is fitted
-to the drawing with a 5% margin.  Directly visited task disks are filled,
-tasks covered only by a crossing path keep just their outline.
+to the drawing with a 5% margin.
 """
 
 from __future__ import annotations
@@ -12,9 +18,6 @@ from xml.sax.saxutils import quoteattr
 
 from .geometry import Config, dubins_shortest_path, sample_path
 from .instance import Instance
-from .memetic import TourSet
-from .refine import WaypointChain
-from .roadmap import Roadmap
 
 _PALETTE = ("#c0392b", "#2471a3", "#1e8449", "#af601a", "#6c3483", "#117864")
 
@@ -82,27 +85,16 @@ def _densify_legs(configs: list[Config], r_min: float) -> list[tuple[float, floa
     return points
 
 
-def render_solution(instance: Instance, roadmap: Roadmap | None = None,
-                    tourset: TourSet | None = None,
-                    chains: list[WaypointChain] | None = None) -> str:
-    """Draw the instance plus, when given, discrete tours or refined chains."""
+def render_solution(instance: Instance, document: dict | None = None) -> str:
+    """Draw the instance plus, when given, the paths of its tour document."""
     svg = _Svg()
-    direct: set[int] = set()
-    if tourset is not None and roadmap is not None:
-        for tour in tourset.tours:
-            for nid in tour[1:-1]:
-                direct.add(roadmap.node_by_id[nid].cluster)
-    elif chains is not None:
-        for chain in chains:
-            for s in chain.states:
-                if s.kind == "task" and s.direct:
-                    direct.add(s.cluster)
-
-    has_solution = tourset is not None or chains is not None
+    vehicles = document["vehicles"] if document is not None else []
+    refined = document is not None and "refine_sweeps" in document
+    direct = {node["cluster"] for entry in vehicles for node in entry["nodes"][1:-1]}
     for task in instance.tasks:
-        visited_directly = task.id in direct or not has_solution
+        filled = document is None or task.id in direct
         svg.circle(task.center[0], task.center[1], task.radius,
-                   fill="#d6eaf8" if visited_directly else "none",
+                   fill="#d6eaf8" if filled else "none",
                    stroke="#5d6d7e", stroke_width=2)
         svg.text(task.center[0], task.center[1], str(task.id), size=max(task.radius * 0.6, 8))
 
@@ -111,18 +103,10 @@ def render_solution(instance: Instance, roadmap: Roadmap | None = None,
         svg.rect_marker(veh.depot[0], veh.depot[1], max(veh.sensing_range * 0.15, 10),
                         fill=color, stroke="black", stroke_width=1)
 
-    specs = {v.id: v for v in instance.vehicles}
-    if chains is not None:
-        for chain in chains:
-            veh = specs[chain.vehicle_id]
-            color = _PALETTE[(veh.id - 1) % len(_PALETTE)]
-            pts = _densify_legs([s.config for s in chain.states], veh.r_min)
-            svg.polyline(pts, stroke=color, stroke_width=3)
-    elif tourset is not None and roadmap is not None:
-        for vi, tour in enumerate(tourset.tours):
-            veh = instance.vehicles[vi]
-            color = _PALETTE[vi % len(_PALETTE)]
-            cfgs = [roadmap.node_by_id[nid].config for nid in tour]
-            pts = _densify_legs(cfgs, veh.r_min)
-            svg.polyline(pts, stroke=color, stroke_width=3)
+    for k, (veh, entry) in enumerate(zip(instance.vehicles, vehicles)):
+        if refined and "refined_chain" not in entry:
+            continue
+        states = entry["refined_chain"]["states"] if refined else entry["nodes"]
+        pts = _densify_legs([Config(*s["config"]) for s in states], veh.r_min)
+        svg.polyline(pts, stroke=_PALETTE[k % len(_PALETTE)], stroke_width=3)
     return svg.render()

@@ -21,6 +21,18 @@ def tiny_file(tmp_path):
     return inst, path
 
 
+def _polylines(svg_path):
+    """Each polyline of an SVG file as a list of (x, y) points, y-up."""
+    root = ET.fromstring(svg_path.read_text())
+    return [[(x, -y) for x, y in (map(float, p.split(",")) for p in poly.get("points").split())]
+            for poly in root.findall("{http://www.w3.org/2000/svg}polyline")]
+
+
+def _assert_anchored(veh, pts):
+    assert pts[0] == pytest.approx(veh.depot, abs=0.02)
+    assert pts[-1] == pytest.approx(veh.terminal, abs=0.02)
+
+
 class TestGenerate:
     def test_default_bays29(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
@@ -63,6 +75,17 @@ class TestGenerate:
                    "--out", str(tmp_path / "x.json")])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("option", [
+        ["--samples", "0"], ["--alpha", "2"], ["--vehicles", "5"], ["--velocity", "-1"],
+        ["--builtin", "nope"],
+    ], ids=["samples", "alpha", "vehicles", "velocity", "builtin"])
+    def test_bad_option_value_is_usage_error(self, tmp_path, capsys, option):
+        out = tmp_path / "x.json"
+        assert main(["generate", *option, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert not out.exists()
+
 
 class TestSolve:
     def test_oracle_and_ma_agree_on_tiny_instance(self, tiny_file, tmp_path, capsys):
@@ -104,16 +127,31 @@ class TestSolve:
         inst, path = tiny_file
         svg_path = tmp_path / "tour.svg"
         main(["solve", str(path), "--method", "oracle", "--svg", str(svg_path)])
-        root = ET.fromstring(svg_path.read_text())
-        ns = "{http://www.w3.org/2000/svg}"
-        polylines = root.findall(f"{ns}polyline")
+        polylines = _polylines(svg_path)
         assert len(polylines) == inst.n_vehicles
-        for veh, poly in zip(inst.vehicles, polylines):
-            pts = [tuple(map(float, p.split(","))) for p in poly.get("points").split()]
-            assert pts[0][0] == pytest.approx(veh.depot[0], abs=0.02)
-            assert -pts[0][1] == pytest.approx(veh.depot[1], abs=0.02)
-            assert pts[-1][0] == pytest.approx(veh.terminal[0], abs=0.02)
-            assert -pts[-1][1] == pytest.approx(veh.terminal[1], abs=0.02)
+        for veh, pts in zip(inst.vehicles, polylines):
+            _assert_anchored(veh, pts)
+
+    @pytest.mark.parametrize("idle", [False, True], ids=["tiny", "idle-vehicle"])
+    def test_refined_svg_draws_each_chain(self, tiny_file, tmp_path, idle):
+        inst, path = tiny_file
+        if idle:  # every task sits by depot 1 and alpha = 1, so vehicle 2 stays home
+            inst = build_instance([(300, 100), (500, 250), (250, 450), (600, 500)],
+                                  n_vehicles=2, samples_per_cluster=2, velocity=50,
+                                  alpha=1.0, depots=[(0.0, 0.0), (5000.0, 5000.0)],
+                                  sensing_range=150.0, seed=5)
+            path.write_text(inst.to_json())
+        out, svg_path = tmp_path / "tour.json", tmp_path / "tour.svg"
+        assert main(["solve", str(path), "--method", "ma", "--refine", "--out", str(out),
+                     "--svg", str(svg_path)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        chained = [veh for veh, entry in zip(inst.vehicles, doc["vehicles"])
+                   if "refined_chain" in entry]
+        assert len(chained) == (1 if idle else inst.n_vehicles)
+        polylines = _polylines(svg_path)
+        assert len(polylines) == len(chained)
+        for veh, pts in zip(chained, polylines):
+            _assert_anchored(veh, pts)
 
     def test_milp_export_writes_model(self, tiny_file, tmp_path):
         _, path = tiny_file
@@ -160,6 +198,22 @@ class TestSolve:
         assert "--refine" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method,option", [
+        ("oracle", ["--seed", "0"]), ("oracle", ["--time-limit", "5"]),
+        ("milp-export", ["--seed", "3"]), ("milp-export", ["--time-limit", "5"]),
+        ("milp-export", ["--svg", "x.svg"]),
+    ], ids=["oracle-seed", "oracle-time-limit", "milp-seed", "milp-time-limit", "milp-svg"])
+    def test_option_the_method_ignores_is_usage_error(self, tiny_file, tmp_path, capsys,
+                                                      method, option):
+        _, path = tiny_file
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--method", method, *option,
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert option[0] in err[0] and method in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("limit", ["nan", "-1"])
     def test_bad_time_limit_is_usage_error(self, tiny_file, limit, capsys):
         # NaN would silently mean no limit; a negative one stops the search
@@ -201,23 +255,22 @@ class TestBench:
         assert len(rows) == 1  # header only
 
     def test_single_cell_produces_one_row(self, tmp_path):
-        inst = random_tiny_instance(2)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "vehicles": [1], "samples": [1], "seeds": [0], "methods": ["ORACLE"],
+            "vehicles": [5], "samples": [1], "seeds": [0], "methods": ["MA-NIN"],
             "velocity": 50}))
-        # ORACLE on the default bays29 would blow the leaf budget; use a tiny
-        # grid via the tasks baked into the default builder is not possible,
-        # so this cell records the failure and the run still succeeds.
+        # bays29 has only 4 default depots, so this cell records its failure
+        # and the run still succeeds
         assert main(["bench", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_OK
         lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
         assert len(lines) == 2
         header = lines[0].split(",")
         row = dict(zip(header, lines[1].split(",")))
-        assert row["vehicles"] == "1" and row["method"] == "ORACLE"
+        assert row["vehicles"] == "5" and row["method"] == "MA-NIN"
+        assert row["failures"] == "1"
         assert (tmp_path / "bench.md").exists()
 
-    @pytest.mark.parametrize("method", ["MA-NIN-RP", "MA-noNIN-PR"])
+    @pytest.mark.parametrize("method", ["MA-NIN-RP", "MA-noNIN-PR", "ORACLE"])
     def test_unknown_method_is_usage_error(self, tmp_path, monkeypatch, method, capsys):
         def no_cell(inst):
             raise AssertionError("a bench cell ran")
@@ -229,19 +282,21 @@ class TestBench:
         assert main(["bench", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert method in err
-        assert all(known in err for known in ("MA-NIN", "MA-noNIN", "MA-NIN-PR", "ORACLE"))
+        assert all(known in err for known in ("MA-NIN", "MA-noNIN", "MA-NIN-PR"))
         assert not (tmp_path / "bench.csv").exists()
 
     @pytest.mark.parametrize("config", [
         [1], {"vehicles": 2}, {"samples": 5}, {"seeds": 0}, {"methods": "MA-NIN"},
-    ], ids=["not-an-object", "vehicles", "samples", "seeds", "methods"])
+        {"vehicles": ["a"]}, {"velocity": "fast"}, {"alpha": [0.5]}, '{"vehicles": [1],',
+    ], ids=["not-an-object", "vehicles", "samples", "seeds", "methods",
+            "vehicle-kind", "velocity-kind", "alpha-kind", "truncated"])
     def test_malformed_config_is_usage_error(self, tmp_path, monkeypatch, capsys, config):
         def no_cell(inst):
             raise AssertionError("a bench cell ran")
 
         monkeypatch.setattr(cli, "build_roadmap", no_cell)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         assert main(["bench", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: ")
@@ -250,8 +305,8 @@ class TestBench:
     def test_failures_recorded_and_run_continues(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "vehicles": [4], "samples": [5], "seeds": [0, 1],
-            "methods": ["ORACLE"], "velocity": 50}))
+            "vehicles": [5], "samples": [5], "seeds": [0, 1],
+            "methods": ["MA-NIN"], "velocity": 50}))
         assert main(["bench", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_OK
         lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
         row = dict(zip(lines[0].split(","), lines[1].split(",")))

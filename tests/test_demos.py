@@ -12,13 +12,24 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_cleanly(script, tmp_path):
-    # run a copy: quickstart.py writes its drawing next to itself, and the
-    # drawing in demos/ is tracked
+def _run(script, tmp_path):
+    """Run a copy of demos/ without its drawings, which are tracked; return
+    the copy."""
     copy = tmp_path / "demos"
-    shutil.copytree(script.parent, copy)
+    shutil.copytree(script.parent, copy, ignore=shutil.ignore_patterns("*.svg"))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(copy / script.name)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return copy
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_exits_cleanly(script, tmp_path):
+    _run(script, tmp_path)
+
+
+def test_quickstart_redraws_the_tracked_drawing(tmp_path):
+    drawing = "quickstart_tour.svg"
+    copy = _run(ROOT / "demos" / "quickstart.py", tmp_path)
+    assert (copy / drawing).read_bytes() == (ROOT / "demos" / drawing).read_bytes()
