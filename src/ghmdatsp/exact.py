@@ -157,8 +157,8 @@ def export_milp(roadmap: Roadmap) -> MilpModel:
     for task in inst.tasks:
         row: dict[str, float] = {}
         for veh in inst.vehicles:
-            for s in roadmap.cluster_nodes(veh.id, task.id):
-                row[_yvar(s.id)] = 1.0
+            for nid in roadmap.cluster_ids[(veh.id, task.id)]:
+                row[_yvar(nid)] = 1.0
         for s in sorted(roadmap.nin_task_to_nodes[task.id]):
             row[_ninvar(task.id, s)] = 1.0
         constraints.append((f"cover_t{task.id}", row, ">=", 1.0))
@@ -166,7 +166,7 @@ def export_milp(roadmap: Roadmap) -> MilpModel:
     # exactly one depot and one terminal node per vehicle
     for veh in inst.vehicles:
         for cluster, tag in ((DEPOT, "depot"), (TERMINAL, "terminal")):
-            row = {_yvar(s.id): 1.0 for s in roadmap.cluster_nodes(veh.id, cluster)}
+            row = {_yvar(nid): 1.0 for nid in roadmap.cluster_ids[(veh.id, cluster)]}
             constraints.append((f"choose_{tag}_v{veh.id}", row, "=", 1.0))
 
     # degree rows for the open depot-to-terminal topology
@@ -244,11 +244,11 @@ def find_subtours(relaxed: RelaxedSolution, roadmap: Roadmap) -> list[tuple[int,
     unvisited = {t.id for t in roadmap.instance.tasks}
     walked: set[int] = set()
     for veh in roadmap.instance.vehicles:
-        depot_nodes = [s for s in roadmap.cluster_nodes(veh.id, DEPOT) if relaxed.y.get(s.id)]
+        depot_nodes = [nid for nid in roadmap.cluster_ids[(veh.id, DEPOT)] if relaxed.y.get(nid)]
         if len(depot_nodes) != 1:
             raise MalformedSolutionError(
                 f"vehicle {veh.id}: expected exactly one chosen depot node, got {len(depot_nodes)}")
-        cur = depot_nodes[0].id
+        cur = depot_nodes[0]
         walked.add(cur)
         steps = 0
         while True:
@@ -378,7 +378,8 @@ def solve_bruteforce(roadmap: Roadmap) -> TourSet:
                    for cost, tour in [path(k, nodes ^ 1 << prev, prev)])
 
     # each task is left to a crossing (None) or takes one node of one vehicle
-    options = [[None] + [s for k in veh_ids for s in roadmap.cluster_nodes(k, t.id)]
+    options = [[None] + [roadmap.node_by_id[nid] for k in veh_ids
+                         for nid in roadmap.cluster_ids[(k, t.id)]]
                for t in inst.tasks]
     best_obj, best_tours = math.inf, None
     for chosen in itertools.product(*options):

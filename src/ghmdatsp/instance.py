@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 GRAVITY_DEFAULT = 9.80  # m/s^2; reproduces the published (velocity, radius) pairs
@@ -58,7 +58,7 @@ _TASK_KEYS = {"id": "integer", "center": "point", "radius": "number"}
 _VEHICLE_KEYS = {"id": "integer", "velocity": "number", "load_factor": "number",
                  "gravity": "number", "depot": "point", "terminal": "point",
                  "sensing_range": "number"}
-#: Keys a document may leave out; :meth:`Instance.from_json` fills in defaults.
+#: Keys a document may leave out; the dataclass defaults fill them in.
 _OPTIONAL_KEYS = ("gravity", "nin_enabled")
 _KINDS = {"list": list, "number": (int, float), "string": str, "integer": int,
           "boolean": bool}
@@ -80,11 +80,14 @@ def _is_kind(value, kind: str) -> bool:
 
 
 def _check_keys(doc, keys: dict[str, str], where: str, optional=_OPTIONAL_KEYS) -> None:
-    """Raise :class:`InstanceError` unless ``doc`` is an object holding every
-    key of ``keys`` that is not ``optional``, each key with its kind."""
+    """Raise :class:`InstanceError` unless ``doc`` is an object holding only
+    keys of ``keys``, each with its kind, and every one that is not
+    ``optional``."""
     if not isinstance(doc, dict):
         raise InstanceError(f"{where} must be a JSON object, got {type(doc).__name__}")
-    problems = [f"{where}: missing key {key!r}" for key in keys
+    problems = [f"{where}: unknown key {key!r}, known keys are {', '.join(keys)}"
+                for key in doc if key not in keys]
+    problems += [f"{where}: missing key {key!r}" for key in keys
                 if key not in doc and key not in optional]
     problems += [f"{where}: {key!r} expects {kind}, got {doc[key]!r}"
                  for key, kind in keys.items() if key in doc and not _is_kind(doc[key], kind)]
@@ -172,26 +175,9 @@ class Instance:
 
     def to_json(self) -> str:
         """Canonical JSON; byte-stable for a fixed instance."""
-        doc = {
-            "tasks": [{"id": t.id, "center": list(t.center), "radius": t.radius} for t in self.tasks],
-            "vehicles": [
-                {
-                    "id": v.id,
-                    "velocity": v.velocity,
-                    "load_factor": v.load_factor,
-                    "gravity": v.gravity,
-                    "depot": list(v.depot),
-                    "terminal": list(v.terminal),
-                    "sensing_range": v.sensing_range,
-                }
-                for v in self.vehicles
-            ],
-            "alpha": self.alpha,
-            "cost_metric": self.cost_metric,
-            "samples_per_cluster": self.samples_per_cluster,
-            "seed": self.seed,
-            "nin_enabled": self.nin_enabled,
-        }
+        doc = asdict(self)
+        for vehicle in doc["vehicles"]:
+            del vehicle["r_min"]  # derived from the dynamics
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
@@ -201,30 +187,14 @@ class Instance:
         for name, keys in (("tasks", _TASK_KEYS), ("vehicles", _VEHICLE_KEYS)):
             for i, entry in enumerate(doc[name]):
                 _check_keys(entry, keys, f"{name}[{i}]")
-        tasks = tuple(
-            Task(id=t["id"], center=tuple(t["center"]), radius=t["radius"]) for t in doc["tasks"]
-        )
-        vehicles = tuple(
-            VehicleSpec(
-                id=v["id"],
-                velocity=v["velocity"],
-                load_factor=v["load_factor"],
-                gravity=v.get("gravity", GRAVITY_DEFAULT),
-                depot=tuple(v["depot"]),
-                terminal=tuple(v["terminal"]),
-                sensing_range=v["sensing_range"],
-            )
-            for v in doc["vehicles"]
-        )
-        inst = Instance(
-            tasks=tasks,
-            vehicles=vehicles,
-            alpha=doc["alpha"],
-            cost_metric=doc["cost_metric"],
-            samples_per_cluster=doc["samples_per_cluster"],
-            seed=doc["seed"],
-            nin_enabled=doc.get("nin_enabled", True),
-        )
+
+        def tupled(entry, keys):  # JSON points load as lists
+            return {key: tuple(v) if keys[key] == "point" else v for key, v in entry.items()}
+
+        inst = Instance(**{**doc,
+                           "tasks": tuple(Task(**tupled(t, _TASK_KEYS)) for t in doc["tasks"]),
+                           "vehicles": tuple(VehicleSpec(**tupled(v, _VEHICLE_KEYS))
+                                             for v in doc["vehicles"])})
         inst.validate()
         return inst
 

@@ -35,18 +35,17 @@ class ChromosomeError(ValueError):
 
 class Chromosome:
     """Immutable gene string, per-cluster samples and per-vehicle payloads,
-    with lazily cached decode results.
+    with its lazily cached decode.
 
     ``samples`` is indexed by cluster id; slot 0 is unused.
     """
 
-    __slots__ = ("genes", "samples", "payloads", "cached_cost", "cached_tours")
+    __slots__ = ("genes", "samples", "payloads", "cached_tours")
 
     def __init__(self, genes, samples, payloads):
         self.genes = tuple(genes)
         self.samples = tuple(samples)
         self.payloads = tuple(payloads)
-        self.cached_cost = None
         self.cached_tours = None
 
     def __len__(self):
@@ -69,16 +68,16 @@ def validate_chromosome(chrom: Chromosome, n: int, m: int, roadmap: Roadmap | No
     if clusters != list(range(1, n + 1)):
         raise ChromosomeError(f"task clusters {clusters} != 1..{n}")
     if roadmap is not None:
-        veh_ids = [v.id for v in roadmap.instance.vehicles]
-        for veh, payload, positions in zip(veh_ids, chrom.payloads,
+        ids = roadmap.cluster_ids
+        for veh, payload, positions in zip(roadmap.vehicle_ids, chrom.payloads,
                                            _vehicle_task_positions(chrom)):
             d_idx, t_idx = payload
-            if not 1 <= d_idx <= len(roadmap.cluster_nodes(veh, DEPOT)):
+            if not 1 <= d_idx <= len(ids[(veh, DEPOT)]):
                 raise ChromosomeError(f"vehicle {veh}: depot sample {d_idx} out of range")
-            if not 1 <= t_idx <= len(roadmap.cluster_nodes(veh, TERMINAL)):
+            if not 1 <= t_idx <= len(ids[(veh, TERMINAL)]):
                 raise ChromosomeError(f"vehicle {veh}: terminal sample {t_idx} out of range")
             for c in map(chrom.genes.__getitem__, positions):
-                if not 1 <= chrom.samples[c] <= len(roadmap.cluster_nodes(veh, c)):
+                if not 1 <= chrom.samples[c] <= len(ids[(veh, c)]):
                     raise ChromosomeError(
                         f"vehicle {veh}: cluster {c} sample {chrom.samples[c]} out of range")
 
@@ -265,15 +264,14 @@ class Evaluator:
         """Decode, pruning exactly when the instance has crossings on."""
         if chrom.cached_tours is None:
             self.evaluations += 1
-            ts = _decode(chrom, self.roadmap, self.roadmap.instance.nin_enabled)
-            chrom.cached_tours = ts
-            chrom.cached_cost = ts.objective
+            chrom.cached_tours = _decode(chrom, self.roadmap, self.roadmap.instance.nin_enabled)
         return chrom.cached_tours
 
     def cost(self, chrom: Chromosome) -> float:
-        if chrom.cached_cost is None:
-            self.tours(chrom)
-        return chrom.cached_cost
+        ts = chrom.cached_tours
+        if ts is None:
+            ts = self.tours(chrom)
+        return ts.objective
 
 
 # ---------------------------------------------------------------------------
@@ -603,16 +601,16 @@ def _chromosome_from_orders(roadmap: Roadmap, rng: random.Random,
                             orders: list[list[int]]) -> Chromosome:
     """Genes for per-vehicle task orders; depot, terminal and task samples
     are drawn at random, vehicle by vehicle."""
+    ids = roadmap.cluster_ids
     genes, payloads = [], []
     samples = [0] * (roadmap.n_tasks + 1)
     for vi, veh in enumerate(roadmap.vehicle_ids):
         genes += [0, 0] if vi else [0]
-        d_n = len(roadmap.cluster_nodes(veh, DEPOT))
-        t_n = len(roadmap.cluster_nodes(veh, TERMINAL))
-        payloads.append((rng.randint(1, d_n), rng.randint(1, t_n)))
+        payloads.append((rng.randint(1, len(ids[(veh, DEPOT)])),
+                         rng.randint(1, len(ids[(veh, TERMINAL)]))))
         for t in orders[vi]:
             genes.append(t)
-            samples[t] = rng.randint(1, len(roadmap.cluster_nodes(veh, t)))
+            samples[t] = rng.randint(1, len(ids[(veh, t)]))
     return Chromosome(genes, samples, payloads)
 
 

@@ -15,8 +15,6 @@ matrix is genuinely asymmetric.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -43,10 +41,6 @@ class SampleNode:
     cluster: int  # task id, DEPOT or TERMINAL
     index_in_cluster: int
     config: Config
-
-    @property
-    def is_task(self) -> bool:
-        return self.cluster > 0
 
 
 def generate_samples(instance: Instance) -> list[SampleNode]:
@@ -128,7 +122,7 @@ def build_nin_tables(
     specs = {v.id: v for v in instance.vehicles}
     for s in nodes:
         covered: set[int] = set()
-        if s.is_task:
+        if s.cluster > 0:
             veh = specs[s.vehicle]
             for task in instance.tasks:
                 if task.id == s.cluster:
@@ -151,7 +145,8 @@ class Roadmap:
     nin_node_to_tasks: dict[int, set[int]]
     node_by_id: dict[int, SampleNode] = field(init=False)
     local_index: dict[int, int] = field(init=False)
-    clusters: dict[tuple[int, int], list[SampleNode]] = field(init=False)
+    #: node ids of each (vehicle, cluster), in sample order; ``ids_by_vehicle``
+    #: nests the same lists by vehicle, then cluster
     cluster_ids: dict[tuple[int, int], list[int]] = field(init=False)
     ids_by_vehicle: dict[int, dict[int, list[int]]] = field(init=False)
     vehicle_ids: tuple[int, ...] = field(init=False)
@@ -161,18 +156,15 @@ class Roadmap:
         self.vehicle_ids = tuple(v.id for v in self.instance.vehicles)
         self.node_by_id = {s.id: s for s in self.nodes}
         self.local_index = {}
-        self.clusters = {}
         counters: dict[int, int] = {}
         for s in self.nodes:
             self.local_index[s.id] = counters.get(s.vehicle, 0)
             counters[s.vehicle] = counters.get(s.vehicle, 0) + 1
-            self.clusters.setdefault((s.vehicle, s.cluster), []).append(s)
-        for members in self.clusters.values():
-            members.sort(key=lambda s: s.index_in_cluster)
-        self.cluster_ids = {key: [s.id for s in members] for key, members in self.clusters.items()}
         self.ids_by_vehicle = {}
-        for (veh, cluster), ids in self.cluster_ids.items():
-            self.ids_by_vehicle.setdefault(veh, {})[cluster] = ids
+        for s in sorted(self.nodes, key=lambda s: s.index_in_cluster):
+            self.ids_by_vehicle.setdefault(s.vehicle, {}).setdefault(s.cluster, []).append(s.id)
+        self.cluster_ids = {(veh, cluster): ids for veh, by_cluster in self.ids_by_vehicle.items()
+                            for cluster, ids in by_cluster.items()}
         # plain nested lists beat numpy scalar indexing in the hot loops
         self.cost_lists = {k: m.tolist() for k, m in self.cost.items()}
 
@@ -184,11 +176,8 @@ class Roadmap:
     def n_vehicles(self) -> int:
         return self.instance.n_vehicles
 
-    def cluster_nodes(self, vehicle: int, cluster: int) -> list[SampleNode]:
-        return self.clusters[(vehicle, cluster)]
-
     def node(self, vehicle: int, cluster: int, index_in_cluster: int) -> SampleNode:
-        return self.clusters[(vehicle, cluster)][index_in_cluster - 1]
+        return self.node_by_id[self.cluster_ids[(vehicle, cluster)][index_in_cluster - 1]]
 
     def edge_cost(self, vehicle: int, a: int, b: int) -> float:
         """Cost between two global node ids of the same vehicle."""
@@ -205,30 +194,6 @@ class Roadmap:
             total += cl[prev][cur]
             prev = cur
         return total
-
-    def to_debug_json(self) -> str:
-        """Diagnostic dump: nodes, NIN tables, cost checksum."""
-        digest = hashlib.sha256()
-        for veh_id in sorted(self.cost):
-            digest.update(np.ascontiguousarray(self.cost[veh_id]).tobytes())
-        doc = {
-            "n_tasks": self.n_tasks,
-            "n_vehicles": self.n_vehicles,
-            "nodes": [
-                {
-                    "id": s.id,
-                    "vehicle": s.vehicle,
-                    "cluster": s.cluster,
-                    "index": s.index_in_cluster,
-                    "config": [s.config.x, s.config.y, s.config.theta],
-                }
-                for s in self.nodes
-            ],
-            "nin_task_to_nodes": {str(t): sorted(v) for t, v in self.nin_task_to_nodes.items()},
-            "nin_node_to_tasks": {str(s): sorted(v) for s, v in self.nin_node_to_tasks.items()},
-            "cost_checksum": digest.hexdigest(),
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def build_roadmap(instance: Instance) -> Roadmap:

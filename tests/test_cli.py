@@ -43,6 +43,13 @@ class TestGenerate:
         assert inst.samples_per_cluster == 5
         assert fingerprint(inst) in capsys.readouterr().out
 
+    def test_fingerprints_pinned(self):
+        # pins the bytes of Instance.to_json, which the fingerprint hashes
+        assert fingerprint(build_instance()) == "8045915207ecf73e-seed0"
+        fleet = build_instance(n_vehicles=4, velocity=[50.0, 60.0, 70.0, 80.0],
+                               samples_per_cluster=10)
+        assert fingerprint(fleet) == "549d26c8f9643405-seed0"
+
     def test_no_options_write_the_default_instance(self, tmp_path):
         out = tmp_path / "inst.json"
         assert main(["generate", "--out", str(out)]) == EXIT_OK
@@ -177,7 +184,8 @@ class TestSolve:
                     "vehicles": [{"id": 1, "velocity": "fast", "load_factor": 4.0,
                                   "depot": [0.0, 0.0], "terminal": [0.0, 0.0],
                                   "sensing_range": 150.0}]}),
-    ], ids=["not-an-object", "missing-keys", "string-velocity"])
+        json.dumps({**json.loads(random_tiny_instance(0).to_json()), "vehicle": []}),
+    ], ids=["not-an-object", "missing-keys", "string-velocity", "unknown-key"])
     def test_malformed_instance_is_solve_error(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -300,6 +308,20 @@ class TestBench:
         assert main(["bench", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert not (tmp_path / "bench.csv").exists()
+
+    def test_unknown_key_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        def no_cell(inst):
+            raise AssertionError("a bench cell ran")
+
+        monkeypatch.setattr(cli, "build_roadmap", no_cell)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"vehicle": [], "seeds": []}))
+        assert main(["bench", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert "unknown key 'vehicle'" in err[0]
+        assert err[0].endswith("known keys are " + ", ".join(cli.BENCH_KEYS))
         assert not (tmp_path / "bench.csv").exists()
 
     def test_failures_recorded_and_run_continues(self, tmp_path):

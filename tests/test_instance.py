@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghmdatsp.instance import (DEFAULT_DEPOTS, Instance, InstanceError, TsplibError,
-                               build_instance, builtin_task_centers, load_tsplib,
-                               turn_radius)
+from ghmdatsp.instance import (_INSTANCE_KEYS, _TASK_KEYS, _VEHICLE_KEYS, DEFAULT_DEPOTS,
+                               Instance, InstanceError, TsplibError, build_instance,
+                               builtin_task_centers, load_tsplib, turn_radius)
 
 
 class TestTurnRadius:
@@ -158,3 +158,18 @@ def test_malformed_document_rejected(text, message):
 def test_wrong_typed_value_rejected(bad):
     with pytest.raises(InstanceError, match="vehicles\\[0\\]: 'velocity' expects number"):
         _from_json_with("velocity", bad)
+
+
+@pytest.mark.parametrize("where,key,known", [
+    ("instance", "vehicle", _INSTANCE_KEYS),
+    ("tasks[1]", "centre", _TASK_KEYS),
+    ("vehicles[0]", "speed", _VEHICLE_KEYS),
+    ("vehicles[0]", "r_min", _VEHICLE_KEYS),
+], ids=["top-level", "task", "vehicle", "derived-r_min"])
+def test_unknown_key_rejected(where, key, known):
+    doc = json.loads(build_instance(THREE_TASKS, depots=[(200.0, 200.0)]).to_json())
+    entries = {"instance": doc, "tasks[1]": doc["tasks"][1], "vehicles[0]": doc["vehicles"][0]}
+    entries[where][key] = 1.0
+    with pytest.raises(InstanceError) as err:
+        Instance.from_json(json.dumps(doc))
+    assert str(err.value) == f"{where}: unknown key {key!r}, known keys are {', '.join(known)}"

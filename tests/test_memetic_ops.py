@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ghmdatsp.geometry import Config
 from ghmdatsp.instance import build_instance
 from ghmdatsp.memetic import (Chromosome, ChromosomeError, Evaluator, ImproveStats,
-                              MAParams, crossover, decode, global_2opt,
+                              MAParams, TourSet, crossover, decode, global_2opt,
                               improve, local_2opt, random_chromosome, reverse_segment,
                               reverse_vehicle_segment, sample_swap, select, swap_genes,
                               task_swap, validate_chromosome)
@@ -297,7 +297,7 @@ class TestSelect:
         rng = random.Random(1)
         a = random_chromosome(rm, rng)
         b = random_chromosome(rm, rng)
-        a.cached_cost, b.cached_cost = 60.0, 100.0
+        a.cached_tours, b.cached_tours = TourSet((), (), 60.0), TourSet((), (), 100.0)
         counts = {60.0: 0, 100.0: 0}
         for _ in range(4000):
             p, _q = select([a, b], 4.0, rng, ev)
@@ -309,7 +309,7 @@ class TestSelect:
         rng = random.Random(2)
         pop = [random_chromosome(rm, rng) for _ in range(4)]
         for c in pop:
-            c.cached_cost = 50.0
+            c.cached_tours = TourSet((), (), 50.0)
         hits = [0] * 4
         for _ in range(4000):
             p, _q = select(pop, 4.0, rng, ev)
@@ -322,7 +322,7 @@ class TestSelect:
         rng = random.Random(3)
         pop = [random_chromosome(rm, rng) for _ in range(6)]
         for i, c in enumerate(pop):
-            c.cached_cost = 10.0 + i
+            c.cached_tours = TourSet((), (), 10.0 + i)
         for _ in range(100):
             p, q = select(pop, 4.0, rng, ev)
             assert ev.cost(p) != ev.cost(q)

@@ -37,15 +37,15 @@ class TestGenerateSamples:
         inst, rm = small_roadmap
         tasks = {t.id: t for t in inst.tasks}
         for s in rm.nodes:
-            if s.is_task:
+            if s.cluster > 0:
                 t = tasks[s.cluster]
                 assert math.dist((s.config.x, s.config.y), t.center) <= t.radius + 1e-9
 
     def test_endpoint_nodes_at_fixed_positions(self, small_roadmap):
         inst, rm = small_roadmap
         for veh in inst.vehicles:
-            (d,) = rm.cluster_nodes(veh.id, DEPOT)
-            (t,) = rm.cluster_nodes(veh.id, TERMINAL)
+            (d,) = [rm.node_by_id[n] for n in rm.cluster_ids[(veh.id, DEPOT)]]
+            (t,) = [rm.node_by_id[n] for n in rm.cluster_ids[(veh.id, TERMINAL)]]
             assert (d.config.x, d.config.y) == veh.depot
             assert (t.config.x, t.config.y) == veh.terminal
 
@@ -153,7 +153,7 @@ class TestNinTables:
     def test_own_cluster_excluded_and_endpoints_empty(self, small_roadmap):
         _, rm = small_roadmap
         for s in rm.nodes:
-            if s.is_task:
+            if s.cluster > 0:
                 assert s.cluster not in rm.nin_node_to_tasks[s.id]
             else:
                 assert rm.nin_node_to_tasks[s.id] == set()
@@ -209,11 +209,3 @@ class TestNinTables:
                                       cy + r * math.sin(a) - tasks[t].center[1])
                            for a in angles)
                 assert dmin <= veh.sensing_range + r * 2 * math.pi / 720
-
-    def test_debug_dump_is_json_with_checksum(self, small_roadmap):
-        import json
-        _, rm = small_roadmap
-        doc = json.loads(rm.to_debug_json())
-        assert doc["n_tasks"] == 7 and doc["n_vehicles"] == 2
-        assert len(doc["nodes"]) == len(rm.nodes)
-        assert len(doc["cost_checksum"]) == 64
