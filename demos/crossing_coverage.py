@@ -25,8 +25,8 @@ for node_id, crossed in roadmap.nin_node_to_tasks.items():
         node = roadmap.node_by_id[node_id]
         print(f"node of task {node.cluster} necessarily crosses tasks {sorted(crossed)}")
 
-# one vehicle: depot sample 1, task 1 then task 2 (sample 1 each), terminal sample 1
-chrom = Chromosome(genes=[0, 1, 2], samples=[0, 1, 1], payloads=[(1, 1)])
+# one vehicle: depot, task 1 then task 2 (sample 1 each), terminal
+chrom = Chromosome(genes=[1, 2], samples=[0, 1, 1])
 plain = decode(chrom, roadmap)
 reduced = decode_nin(chrom, roadmap)
 print(f"visit both nodes: cost {plain.objective:.1f}")

@@ -1,15 +1,12 @@
 """Memetic search over delimiter-encoded multi-vehicle tours.
 
-A chromosome holds each choice once, in three fields.  ``genes`` is the
-gene string: n task cluster ids and 2m-1 delimiters, written ``0``.
-Counting delimiters from the left, the even-numbered ones split the
-string into one segment per vehicle; the odd-numbered ones mark where
-each vehicle's depot/terminal choice sits, so that moving genes moves
-those choices too.  ``samples[c]`` is task cluster c's 1-based sample and
-``payloads[v]`` is vehicle v's ``(depot_sample, terminal_sample)``.
-Decoding yields one depot-to-terminal node tour per vehicle; the
-NIN-aware variant then prunes nodes whose tasks are already crossed by
-the remaining tour.
+A chromosome holds each choice once, in two fields.  ``genes`` is the
+gene string: n task cluster ids and m-1 delimiters, written ``0``, that
+split it into one segment per vehicle.  ``samples[c]`` is task cluster
+c's 1-based sample.  Decoding yields one tour per vehicle, from its one
+depot node through its segment to its one terminal node; the NIN-aware
+variant then prunes nodes whose tasks are already crossed by the
+remaining tour.
 
 The generational loop is elitist with roulette selection, parameterized
 uniform crossover, immigration instead of mutation, cost-based duplicate
@@ -34,79 +31,51 @@ class ChromosomeError(ValueError):
 
 
 class Chromosome:
-    """Immutable gene string, per-cluster samples and per-vehicle payloads,
-    with its lazily cached decode.
+    """Immutable gene string and per-cluster samples, with its lazily
+    cached decode.
 
     ``samples`` is indexed by cluster id; slot 0 is unused.
     """
 
-    __slots__ = ("genes", "samples", "payloads", "cached_tours")
+    __slots__ = ("genes", "samples", "cached_tours")
 
-    def __init__(self, genes, samples, payloads):
+    def __init__(self, genes, samples):
         self.genes = tuple(genes)
         self.samples = tuple(samples)
-        self.payloads = tuple(payloads)
         self.cached_tours = None
 
     def __len__(self):
         return len(self.genes)
 
 
-def validate_chromosome(chrom: Chromosome, n: int, m: int, roadmap: Roadmap | None = None) -> None:
+def validate_chromosome(chrom: Chromosome, roadmap: Roadmap) -> None:
     """Raise :class:`ChromosomeError` if any structural invariant fails."""
-    expect_len = n + 2 * m - 1
+    n, m = roadmap.n_tasks, roadmap.n_vehicles
+    expect_len = n + m - 1
     if len(chrom) != expect_len:
-        raise ChromosomeError(f"length {len(chrom)} != n + 2m - 1 = {expect_len}")
-    delims = chrom.genes.count(0)
-    if delims != 2 * m - 1:
-        raise ChromosomeError(f"{delims} delimiters, expected {2 * m - 1}")
-    if len(chrom.payloads) != m:
-        raise ChromosomeError(f"{len(chrom.payloads)} depot/terminal payloads, expected {m}")
+        raise ChromosomeError(f"length {len(chrom)} != n + m - 1 = {expect_len}")
     if len(chrom.samples) != n + 1:
         raise ChromosomeError(f"samples has {len(chrom.samples)} slots, expected n + 1 = {n + 1}")
     clusters = sorted(g for g in chrom.genes if g != 0)
     if clusters != list(range(1, n + 1)):
         raise ChromosomeError(f"task clusters {clusters} != 1..{n}")
-    if roadmap is not None:
-        ids = roadmap.cluster_ids
-        for veh, payload, positions in zip(roadmap.vehicle_ids, chrom.payloads,
-                                           _vehicle_task_positions(chrom)):
-            d_idx, t_idx = payload
-            if not 1 <= d_idx <= len(ids[(veh, DEPOT)]):
-                raise ChromosomeError(f"vehicle {veh}: depot sample {d_idx} out of range")
-            if not 1 <= t_idx <= len(ids[(veh, TERMINAL)]):
-                raise ChromosomeError(f"vehicle {veh}: terminal sample {t_idx} out of range")
-            for c in map(chrom.genes.__getitem__, positions):
-                if not 1 <= chrom.samples[c] <= len(ids[(veh, c)]):
-                    raise ChromosomeError(
-                        f"vehicle {veh}: cluster {c} sample {chrom.samples[c]} out of range")
+    ids = roadmap.cluster_ids
+    for veh, positions in zip(roadmap.vehicle_ids, _vehicle_task_positions(chrom)):
+        for c in map(chrom.genes.__getitem__, positions):
+            if not 1 <= chrom.samples[c] <= len(ids[(veh, c)]):
+                raise ChromosomeError(
+                    f"vehicle {veh}: cluster {c} sample {chrom.samples[c]} out of range")
 
 
 def _vehicle_task_positions(chrom: Chromosome) -> list[list[int]]:
-    """Task gene positions per vehicle: split at even-numbered delimiters."""
+    """Task gene positions per vehicle: the delimiters split the string."""
     out = [[]]
-    rank = 0
     for pos, g in enumerate(chrom.genes):
         if g == 0:
-            rank += 1
-            if rank % 2 == 0:
-                out.append([])
+            out.append([])
         else:
             out[-1].append(pos)
     return out
-
-
-def _permuted(chrom: Chromosome, order: list[int]) -> Chromosome:
-    """The chromosome whose gene at position p is the old gene at ``order[p]``.
-
-    Each payload moves with the odd-numbered delimiter that held it; the
-    moved payloads, in their new order, become the vehicles' payloads.
-    """
-    genes = chrom.genes
-    delims = [p for p, g in enumerate(genes) if g == 0]
-    payload_at = dict(zip(delims[::2], chrom.payloads))
-    return Chromosome([genes[p] for p in order], chrom.samples,
-                      [payload_at[p] for p in order if p in payload_at])
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +113,12 @@ def _decode(chrom: Chromosome, roadmap: Roadmap, prune: bool) -> TourSet:
     ids_by_veh = roadmap.ids_by_vehicle
     genes, samples = chrom.genes, chrom.samples
     tours = []
-    for veh, payload, positions in zip(roadmap.vehicle_ids, chrom.payloads,
-                                       _vehicle_task_positions(chrom)):
+    for veh, positions in zip(roadmap.vehicle_ids, _vehicle_task_positions(chrom)):
         ids = ids_by_veh[veh]
-        d_idx, t_idx = payload
-        tour = [ids[DEPOT][d_idx - 1]]
+        tour = [ids[DEPOT][0]]
         for c in map(genes.__getitem__, positions):
             tour.append(ids[c][samples[c] - 1])
-        tour.append(ids[TERMINAL][t_idx - 1])
+        tour.append(ids[TERMINAL][0])
         tours.append(tour)
     deleted = ()
     if prune:
@@ -161,7 +128,7 @@ def _decode(chrom: Chromosome, roadmap: Roadmap, prune: bool) -> TourSet:
 
 def decode(chrom: Chromosome, roadmap: Roadmap) -> TourSet:
     """Split the chromosome into per-vehicle tours and cost them."""
-    validate_chromosome(chrom, roadmap.n_tasks, roadmap.n_vehicles, roadmap)
+    validate_chromosome(chrom, roadmap)
     return _decode(chrom, roadmap, False)
 
 
@@ -174,7 +141,7 @@ def decode_nin(chrom: Chromosome, roadmap: Roadmap) -> TourSet:
     breaking ties toward the node crossing the fewest other tasks, and
     stopping as soon as the chosen deletion would empty any basket.
     """
-    validate_chromosome(chrom, roadmap.n_tasks, roadmap.n_vehicles, roadmap)
+    validate_chromosome(chrom, roadmap)
     return _decode(chrom, roadmap, True)
 
 
@@ -236,18 +203,17 @@ def _nin_reduce(tours: list[list[int]], roadmap: Roadmap):
 def encode(tourset: TourSet, roadmap: Roadmap) -> Chromosome:
     """Inverse of :func:`decode` for tours that visit every cluster."""
     node_by_id = roadmap.node_by_id
-    genes, payloads = [], []
+    genes = []
     samples = [0] * (roadmap.n_tasks + 1)
     for vi, tour in enumerate(tourset.tours):
-        genes += [0, 0] if vi else [0]
-        payloads.append((node_by_id[tour[0]].index_in_cluster,
-                         node_by_id[tour[-1]].index_in_cluster))
+        if vi:
+            genes.append(0)
         for nid in tour[1:-1]:
             s = node_by_id[nid]
             genes.append(s.cluster)
             samples[s.cluster] = s.index_in_cluster
-    chrom = Chromosome(genes, samples, payloads)
-    validate_chromosome(chrom, roadmap.n_tasks, roadmap.n_vehicles, roadmap)
+    chrom = Chromosome(genes, samples)
+    validate_chromosome(chrom, roadmap)
     return chrom
 
 
@@ -313,23 +279,23 @@ def _out_of_time(params: MAParams, t0: float) -> bool:
 
 
 def reverse_segment(chrom: Chromosome, i: int, j: int) -> Chromosome:
-    """Reverse gene positions i..j (1-based, inclusive); payloads follow."""
+    """Reverse gene positions i..j (1-based, inclusive)."""
     if not 1 <= i <= j <= len(chrom):
         raise ChromosomeError(f"reversal bounds ({i}, {j}) outside 1..{len(chrom)}")
     if i == j:
         return chrom
-    order = list(range(len(chrom)))
-    order[i - 1:j] = reversed(order[i - 1:j])
-    return _permuted(chrom, order)
+    genes = list(chrom.genes)
+    genes[i - 1:j] = reversed(genes[i - 1:j])
+    return Chromosome(genes, chrom.samples)
 
 
 def swap_genes(chrom: Chromosome, i: int, j: int) -> Chromosome:
-    """Exchange the genes at 1-based positions i and j; payloads follow."""
+    """Exchange the genes at 1-based positions i and j."""
     if i == j:
         raise ChromosomeError("task swap needs two different positions")
-    order = list(range(len(chrom)))
-    order[i - 1], order[j - 1] = order[j - 1], order[i - 1]
-    return _permuted(chrom, order)
+    genes = list(chrom.genes)
+    genes[i - 1], genes[j - 1] = genes[j - 1], genes[i - 1]
+    return Chromosome(genes, chrom.samples)
 
 
 def reverse_vehicle_segment(chrom: Chromosome, vehicle_index: int, i: int, j: int) -> Chromosome:
@@ -345,7 +311,7 @@ def reverse_vehicle_segment(chrom: Chromosome, vehicle_index: int, i: int, j: in
     picked = [genes[p] for p in window]
     for p, g in zip(window, reversed(picked)):
         genes[p] = g
-    return Chromosome(genes, chrom.samples, chrom.payloads)
+    return Chromosome(genes, chrom.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +410,7 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
             changed = True
     if not changed:
         return chrom
-    return _keep_if_cheaper(Chromosome(genes, samples, chrom.payloads), chrom, ev)
+    return _keep_if_cheaper(Chromosome(genes, samples), chrom, ev)
 
 
 #: Local-search operators, in the order their tallies are kept.
@@ -467,25 +433,26 @@ def _move(op: str, chrom: Chromosome, ev: Evaluator, rng: random.Random,
           stats: ImproveStats) -> Chromosome:
     """One tallied attempt of operator ``op``: draw its positions and apply it.
 
-    A local 2-opt with no vehicle holding two tasks counts as a rejected
-    attempt and draws nothing.
+    A move with fewer than two genes to move counts as a rejected attempt
+    and draws nothing: a global 2-opt or task swap on a one-gene string, a
+    local 2-opt with no vehicle holding two tasks.
     """
     stats.attempts[op] += 1
-    if op == "global_2opt":
-        out = global_2opt(chrom, *_ordered_pair(rng, len(chrom)), ev)
+    out = chrom
+    length = len(chrom)
+    if op == "global_2opt" and length >= 2:
+        out = global_2opt(chrom, *_ordered_pair(rng, length), ev)
     elif op == "local_2opt":
         positions = _vehicle_task_positions(chrom)
         eligible = [vi for vi, ps in enumerate(positions) if len(ps) >= 2]
-        out = chrom
         if eligible:
             vi = rng.choice(eligible)
             out = local_2opt(chrom, vi, *_ordered_pair(rng, len(positions[vi])), ev)
-    elif op == "task_swap":
-        length = len(chrom)
+    elif op == "task_swap" and length >= 2:
         i = rng.randint(1, length)
         j = rng.randint(1, length - 1)
         out = task_swap(chrom, i, j + (j >= i), ev)
-    else:
+    elif op == "sample_swap":
         out = sample_swap(chrom, ev)
     if out is not chrom:
         stats.accepts[op] += 1
@@ -599,19 +566,18 @@ def voronoi_chromosome(roadmap: Roadmap, rng: random.Random,
 
 def _chromosome_from_orders(roadmap: Roadmap, rng: random.Random,
                             orders: list[list[int]]) -> Chromosome:
-    """Genes for per-vehicle task orders; depot, terminal and task samples
-    are drawn at random, vehicle by vehicle."""
+    """Genes for per-vehicle task orders; task samples are drawn at random,
+    vehicle by vehicle."""
     ids = roadmap.cluster_ids
-    genes, payloads = [], []
+    genes = []
     samples = [0] * (roadmap.n_tasks + 1)
     for vi, veh in enumerate(roadmap.vehicle_ids):
-        genes += [0, 0] if vi else [0]
-        payloads.append((rng.randint(1, len(ids[(veh, DEPOT)])),
-                         rng.randint(1, len(ids[(veh, TERMINAL)]))))
+        if vi:
+            genes.append(0)
         for t in orders[vi]:
             genes.append(t)
             samples[t] = rng.randint(1, len(ids[(veh, t)]))
-    return Chromosome(genes, samples, payloads)
+    return Chromosome(genes, samples)
 
 
 def init_population(roadmap: Roadmap, params: MAParams, rng: random.Random,
@@ -677,8 +643,7 @@ def crossover(parent1: Chromosome, parent2: Chromosome, params: MAParams,
     left-to-right from parent 2's gene order, skipping task clusters
     already present and surplus delimiters; each cluster streamed from
     parent 2 brings parent 2's sample.  Clusters still missing are
-    inserted in random order.  Every other sample, and every vehicle's
-    payload, is parent 1's.
+    inserted in random order.  Every other sample is parent 1's.
 
     RNG protocol (relied on by reproducibility tests): one
     ``rng.sample(range(L), k)`` for the copied positions, then one
@@ -726,7 +691,7 @@ def crossover(parent1: Chromosome, parent2: Chromosome, params: MAParams,
         if child[pos] is None:
             child[pos] = next(fill, 0)
 
-    return Chromosome(child, samples, parent1.payloads)
+    return Chromosome(child, samples)
 
 
 # ---------------------------------------------------------------------------

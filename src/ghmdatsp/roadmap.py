@@ -136,7 +136,11 @@ def build_nin_tables(
 
 @dataclass
 class Roadmap:
-    """Immutable bundle of an instance's nodes, costs and NIN tables."""
+    """Immutable bundle of an instance's nodes, costs and NIN tables.
+
+    Raises ``ValueError`` unless every vehicle has exactly one depot node
+    and one terminal node.
+    """
 
     instance: Instance
     nodes: list[SampleNode]
@@ -165,6 +169,12 @@ class Roadmap:
             self.ids_by_vehicle.setdefault(s.vehicle, {}).setdefault(s.cluster, []).append(s.id)
         self.cluster_ids = {(veh, cluster): ids for veh, by_cluster in self.ids_by_vehicle.items()
                             for cluster, ids in by_cluster.items()}
+        for veh in self.vehicle_ids:
+            for cluster, name in ((DEPOT, "depot"), (TERMINAL, "terminal")):
+                count = len(self.cluster_ids.get((veh, cluster), ()))
+                if count != 1:
+                    raise ValueError(f"vehicle {veh}: {name} cluster holds {count} nodes, "
+                                     "expected exactly one")
         # plain nested lists beat numpy scalar indexing in the hot loops
         self.cost_lists = {k: m.tolist() for k, m in self.cost.items()}
 

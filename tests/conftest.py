@@ -63,7 +63,7 @@ def random_tiny_instance(key: int, nin: bool = True):
 
 # ---------------------------------------------------------------------------
 # Worked decoding example: 2 vehicles, 5 tasks, 3 samples per cluster,
-# 3 samples also in the depot/terminal clusters so payload indices matter.
+# one depot node and one terminal node per vehicle.
 
 
 @pytest.fixture(scope="session")
@@ -84,10 +84,9 @@ def worked_example():
     nid = 0
     for veh in inst.vehicles:
         for cluster, pos in ((DEPOT, veh.depot), (TERMINAL, veh.terminal)):
-            for i in range(3):
-                nodes.append(SampleNode(nid, veh.id, cluster, i + 1,
-                                        Config(pos[0], pos[1], rng.uniform(0, 2 * math.pi))))
-                nid += 1
+            nodes.append(SampleNode(nid, veh.id, cluster, 1,
+                                    Config(pos[0], pos[1], rng.uniform(0, 2 * math.pi))))
+            nid += 1
         for task in inst.tasks:
             for i in range(3):
                 ang = rng.uniform(0, 2 * math.pi)
@@ -99,11 +98,9 @@ def worked_example():
                            rng.uniform(0, 2 * math.pi))))
                 nid += 1
     rm = manual_roadmap(inst, nodes, with_nin=False)
-    # vehicle 1: depot 1, tasks 1..3 with samples 1, 3, 3, terminal 3;
-    # vehicle 2: depot 2, tasks 4, 5 with samples 2, 1, terminal 1
-    chrom = Chromosome(genes=[0, 1, 2, 3, 0, 0, 4, 5],
-                       samples=[0, 1, 3, 3, 2, 1],
-                       payloads=[(1, 3), (2, 1)])
+    # vehicle 1: tasks 1..3 with samples 1, 3, 3; vehicle 2: tasks 4, 5
+    # with samples 2, 1
+    chrom = Chromosome(genes=[1, 2, 3, 0, 4, 5], samples=[0, 1, 3, 3, 2, 1])
     return inst, rm, chrom
 
 
@@ -153,9 +150,6 @@ def pruning_example():
                                     Config(task.center[0], task.center[1], theta)))
             nid += 1
     rm = manual_roadmap(inst, nodes)
-    # the first delimiter is odd-numbered, so tasks 1..3 before it still
-    # belong to vehicle 1; the second splits off vehicle 2's tasks 4, 5
-    chrom = Chromosome(genes=[1, 2, 3, 0, 0, 4, 5, 0],
-                       samples=[0, 1, 1, 1, 1, 1],
-                       payloads=[(1, 1), (1, 1)])
+    # vehicle 1 serves tasks 1..3, vehicle 2 tasks 4, 5
+    chrom = Chromosome(genes=[1, 2, 3, 0, 4, 5], samples=[0, 1, 1, 1, 1, 1])
     return inst, rm, chrom

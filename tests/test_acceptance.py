@@ -104,8 +104,8 @@ class TestAcceptance:
         ts = decode(chrom, rm)
         labels = [[(rm.node_by_id[n].cluster, rm.node_by_id[n].index_in_cluster)
                    for n in tour] for tour in ts.tours]
-        decode_ok = (labels[0] == [(-1, 1), (1, 1), (2, 3), (3, 3), (-2, 3)]
-                     and labels[1] == [(-1, 2), (4, 2), (5, 1), (-2, 1)])
+        decode_ok = (labels[0] == [(-1, 1), (1, 1), (2, 3), (3, 3), (-2, 1)]
+                     and labels[1] == [(-1, 1), (4, 2), (5, 1), (-2, 1)])
 
         _, rm4, chrom4 = pruning_example
         ts4 = decode_nin(chrom4, rm4)
@@ -134,7 +134,6 @@ class TestAcceptance:
         rm = build_roadmap(inst)
         ev = Evaluator(rm)
         rng = random.Random(55)
-        n, m = rm.n_tasks, rm.n_vehicles
         violations = 0
         applications = 0
         chrom = random_chromosome(rm, rng)
@@ -167,7 +166,7 @@ class TestAcceptance:
             if ev.cost(chrom) > before + 1e-9:
                 violations += 1
             try:
-                validate_chromosome(chrom, n, m, rm)
+                validate_chromosome(chrom, rm)
             except Exception:
                 violations += 1
         ok = violations == 0 and applications == 10000

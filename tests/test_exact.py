@@ -198,9 +198,8 @@ class TestBruteForce:
             SampleNode(2, 1, TERMINAL, 1, Config(0.0, 0.0, 0.0)),
             SampleNode(3, 1, 1, 1, Config(500.0, 0.0, 0.0)),
         ]
-        rm = manual_roadmap(inst, nodes, with_nin=False)
         with pytest.raises(ValueError, match="vehicle 1: depot cluster holds 2 nodes"):
-            solve_bruteforce(rm)
+            manual_roadmap(inst, nodes, with_nin=False)
 
     def test_enumeration_size_formula(self):
         # n tasks into m ordered lists with s samples each, plus skip option

@@ -1,10 +1,15 @@
 """Golden traces: fixed-seed searches on bays29 that a speed-up must not change.
 
-The values were recorded with the scalar cost table, before the vectorized
-Dubins kernel replaced it.  A hot-path change passes only if, per seed, the
-best cost of every generation, the termination reason, the final node tours,
-the pruned nodes (in deletion order) and the local-search operators' attempt
-and accept tallies all stay the same.
+The values were recorded when the chromosome lost its per-vehicle
+depot/terminal sample pairs and the m delimiters that carried them.  Every
+built roadmap has one depot node and one terminal node per vehicle, so
+those pairs held no choice, but their random draws and the delimiters'
+positions in the gene string steered the search; dropping them changed
+every trace below.  A hot-path
+change passes only if, per seed, the best cost of every generation, the
+termination reason, the final node tours, the pruned nodes (in deletion
+order) and the local-search operators' attempt and accept tallies all stay
+the same.
 """
 
 import pytest
@@ -20,76 +25,73 @@ GENERATIONS = 5
 # (vehicles, seed) -> recorded trace
 GOLDEN = {
     (1, 1): {
-        "history": [10021.606192185858, 10021.606192185858, 9815.672847947482,
-                    9815.672847947482, 9815.672847947482, 9692.844395404776],
+        "history": [10097.694888065924, 10009.716280433711, 10009.716280433711,
+                    10009.716280433711, 9763.823952892228, 9763.823952892228],
         "reason": "max_generations",
         "tours": (
-            (0, 52, 53, 61, 64, 88, 9, 77, 27, 17, 85, 23, 72, 49, 68, 21, 75, 56, 39, 12,
-             33, 65, 1),
+            (0, 52, 53, 61, 64, 88, 9, 77, 27, 17, 4, 73, 49, 68, 21, 75, 56, 39, 12, 33,
+             65, 1),
         ),
-        "deleted": (30, 46, 14, 80, 37, 6, 41, 4),
+        "deleted": (43, 81, 25, 15, 37, 46, 6, 31, 85),
     },
     (1, 2): {
-        "history": [10888.313491111867, 10888.313491111867, 10888.313491111867,
-                    10857.020861101673, 10857.020861101673, 10791.059864360903],
+        "history": [10621.342994241068] * 6,
         "reason": "max_generations",
         "tours": (
-            (0, 50, 42, 60, 6, 62, 16, 88, 10, 17, 35, 2, 24, 48, 70, 21, 74, 38, 11, 45,
-             34, 67, 1),
+            (0, 50, 55, 60, 7, 10, 86, 14, 62, 35, 19, 3, 25, 49, 70, 21, 74, 32, 58, 39,
+             12, 67, 1),
         ),
-        "deleted": (81, 79, 30, 55, 28, 84, 58, 73),
+        "deleted": (82, 84, 44, 79, 28, 41, 31, 72),
     },
     (4, 1): {
-        "history": [5226.261737763019, 4999.3172982314845, 4999.3172982314845,
-                    4999.3172982314845, 4410.4350246825525, 4410.4350246825525],
+        "history": [4878.591154290101] * 6,
         "reason": "max_generations",
         "tours": (
-            (0, 52, 41, 32, 39, 48, 44, 55, 1),
-            (89, 125, 108, 174, 113, 90),
-            (178, 238, 242, 205, 256, 265, 187, 179),
-            (267, 336, 338, 325, 343, 288, 268),
+            (0, 52, 42, 65, 34, 1),
+            (89, 112, 173, 124, 94, 127, 101, 134, 90),
+            (178, 193, 204, 257, 266, 187, 179),
+            (267, 336, 347, 316, 325, 343, 288, 268),
         ),
-        "deleted": (349, 279, 245, 193, 93, 184, 31),
+        "deleted": (149, 119, 340, 92, 144, 106, 241),
     },
     (4, 2): {
-        "history": [4330.766577068085] * 6,
+        "history": [4118.460810124087] * 6,
         "reason": "max_generations",
         "tours": (
-            (0, 51, 33, 10, 1),
-            (89, 113, 91, 172, 108, 90),
-            (178, 231, 223, 218, 239, 240, 193, 266, 179),
-            (267, 325, 315, 337, 288, 268),
+            (0, 50, 33, 67, 59, 39, 12, 54, 1),
+            (89, 125, 107, 174, 93, 113, 90),
+            (178, 240, 205, 266, 188, 179),
+            (267, 335, 316, 324, 289, 268),
         ),
-        "deleted": (348, 207, 42, 185, 341, 125, 255, 243, 206, 338, 191),
+        "deleted": (42, 340, 342, 347, 6, 30, 46, 255, 192),
     },
 }
 
-# (vehicles, seed) -> operator (attempts, accepts), recorded before the local
-# search's move steps were folded into one
+# (vehicles, seed) -> operator (attempts, accepts)
 OPERATOR_TALLIES = {
     (1, 1): {
-        "global_2opt": (615, 134),
-        "local_2opt": (615, 128),
-        "task_swap": (2797, 459),
-        "sample_swap": (563, 518),
+        "global_2opt": (707, 116),
+        "local_2opt": (707, 101),
+        "task_swap": (2905, 399),
+        "sample_swap": (595, 541),
     },
     (1, 2): {
-        "global_2opt": (598, 116),
-        "local_2opt": (598, 110),
-        "task_swap": (2790, 397),
-        "sample_swap": (563, 530),
+        "global_2opt": (634, 95),
+        "local_2opt": (631, 106),
+        "task_swap": (2830, 356),
+        "sample_swap": (574, 530),
     },
     (4, 1): {
-        "global_2opt": (559, 216),
-        "local_2opt": (559, 167),
-        "task_swap": (2755, 639),
-        "sample_swap": (552, 529),
+        "global_2opt": (550, 194),
+        "local_2opt": (550, 158),
+        "task_swap": (2750, 556),
+        "sample_swap": (550, 528),
     },
     (4, 2): {
-        "global_2opt": (550, 199),
-        "local_2opt": (550, 182),
-        "task_swap": (2750, 618),
-        "sample_swap": (550, 535),
+        "global_2opt": (560, 166),
+        "local_2opt": (565, 177),
+        "task_swap": (2760, 485),
+        "sample_swap": (553, 536),
     },
 }
 

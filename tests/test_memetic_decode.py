@@ -20,19 +20,19 @@ class TestDecode:
         _, rm, chrom = worked_example
         ts = decode(chrom, rm)
         labels = tour_labels(ts, rm)
-        assert labels[0] == [(-1, 1), (1, 1), (2, 3), (3, 3), (-2, 3)]
-        assert labels[1] == [(-1, 2), (4, 2), (5, 1), (-2, 1)]
+        assert labels[0] == [(-1, 1), (1, 1), (2, 3), (3, 3), (-2, 1)]
+        assert labels[1] == [(-1, 1), (4, 2), (5, 1), (-2, 1)]
 
     def test_single_vehicle_single_task(self):
         inst = build_instance([(300.0, 0.0)], n_vehicles=1, samples_per_cluster=1,
                               depots=[(0.0, 0.0)], seed=2)
         rm = build_roadmap(inst)
-        ts = decode(Chromosome([0, 1], [0, 1], [(1, 1)]), rm)
+        ts = decode(Chromosome([1], [0, 1]), rm)
         assert tour_labels(ts, rm)[0] == [(-1, 1), (1, 1), (-2, 1)]
 
     def test_empty_vehicle_segment_costs_direct_leg(self, worked_example):
         _, rm, _ = worked_example
-        chrom = Chromosome([0, 1, 2, 3, 4, 5, 0, 0], [0, 1, 1, 1, 1, 1], [(1, 1), (1, 1)])
+        chrom = Chromosome([1, 2, 3, 4, 5, 0], [0, 1, 1, 1, 1, 1])
         ts = decode(chrom, rm)
         assert tour_labels(ts, rm)[1] == [(-1, 1), (-2, 1)]
         depot = rm.node(2, -1, 1).id
@@ -50,22 +50,17 @@ class TestDecode:
     def test_malformed_chromosome_rejected(self, worked_example):
         _, rm, chrom = worked_example
         genes = list(chrom.genes)
-        genes[1] = 2  # duplicate cluster
+        genes[0] = 2  # duplicate cluster
         with pytest.raises(ChromosomeError):
-            decode(Chromosome(genes, chrom.samples, chrom.payloads), rm)
+            decode(Chromosome(genes, chrom.samples), rm)
         with pytest.raises(ChromosomeError):
-            decode(Chromosome(genes[:-1], chrom.samples, chrom.payloads), rm)
+            decode(Chromosome(genes[:-1], chrom.samples), rm)
 
-    def test_payload_and_sample_counts_rejected(self, worked_example):
-        """Decoding pairs payloads with vehicles, so one payload too few or
-        too many would drop a vehicle or go unnoticed."""
+    def test_sample_counts_rejected(self, worked_example):
         _, rm, chrom = worked_example
-        for payloads in (chrom.payloads[:1], chrom.payloads + ((1, 1),)):
-            with pytest.raises(ChromosomeError, match="payloads"):
-                validate_chromosome(Chromosome(chrom.genes, chrom.samples, payloads), 5, 2, rm)
         for samples in (chrom.samples[:-1], chrom.samples + (1,)):
             with pytest.raises(ChromosomeError, match="samples"):
-                validate_chromosome(Chromosome(chrom.genes, samples, chrom.payloads), 5, 2, rm)
+                validate_chromosome(Chromosome(chrom.genes, samples), rm)
 
     def test_encode_inverts_decode(self, worked_example):
         _, rm, chrom = worked_example

@@ -2,37 +2,25 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ghmdatsp.geometry import Config
 from ghmdatsp.instance import build_instance
 from ghmdatsp.memetic import (Chromosome, ChromosomeError, Evaluator, ImproveStats,
                               MAParams, TourSet, crossover, decode, global_2opt,
                               improve, local_2opt, random_chromosome, reverse_segment,
                               reverse_vehicle_segment, sample_swap, select, swap_genes,
                               task_swap, validate_chromosome)
-from ghmdatsp.roadmap import DEPOT, TERMINAL, SampleNode, build_roadmap
+from ghmdatsp.roadmap import build_roadmap
 
-from conftest import coverage_ok, manual_roadmap, random_tiny_instance
+from conftest import coverage_ok, random_tiny_instance
 
 
 def labels(chrom):
-    """One label per gene: ("M", payload) on odd-numbered delimiters, ("M",
-    None) on even-numbered ones and (cluster, sample) on task genes."""
-    out = []
-    delims = 0
-    for g in chrom.genes:
-        if g == 0:
-            out.append(("M", chrom.payloads[delims // 2] if delims % 2 == 0 else None))
-            delims += 1
-        else:
-            out.append((g, chrom.samples[g]))
-    return out
+    """One label per gene: "M" on delimiters, (cluster, sample) on task genes."""
+    return ["M" if g == 0 else (g, chrom.samples[g]) for g in chrom.genes]
 
 
 def fields(chrom):
-    return chrom.genes, chrom.samples, chrom.payloads
+    return chrom.genes, chrom.samples
 
 
 @pytest.fixture()
@@ -44,30 +32,20 @@ def example(worked_example):
 class TestReverseSegment:
     def test_inner_reversal(self, example):
         _, _, chrom, _ = example
-        out = reverse_segment(chrom, 2, 4)
-        assert labels(out)[1:4] == [(3, 3), (2, 3), (1, 1)]
+        out = reverse_segment(chrom, 1, 3)
+        assert labels(out)[0:3] == [(3, 3), (2, 3), (1, 1)]
 
     def test_identity_when_bounds_meet(self, example):
         _, _, chrom, _ = example
         assert reverse_segment(chrom, 3, 3) is chrom
 
-    def test_payload_shift_after_even_delimiter_count(self, example):
-        """Reversing 3..8 drags both vehicle-2 delimiters around; the payload
-        must land back on the odd-numbered delimiter."""
+    def test_reversal_across_divider_moves_tasks_between_vehicles(self, example):
         _, rm, chrom, _ = example
-        out = reverse_segment(chrom, 3, 8)
-        delims = [(i, lab[1]) for i, lab in enumerate(labels(out), start=1) if lab[0] == "M"]
-        assert delims == [(1, (1, 3)), (5, None), (6, (2, 1))]
-        validate_chromosome(out, 5, 2, rm)
+        out = reverse_segment(chrom, 3, 6)
+        validate_chromosome(out, rm)
         ts = decode(out, rm)
-        assert [rm.node_by_id[n].cluster for n in ts.tours[0][1:-1]] == [1, 5, 4]
-        assert [rm.node_by_id[n].cluster for n in ts.tours[1][1:-1]] == [3, 2]
-
-    def test_leading_divider_gets_payload(self, example):
-        _, rm, chrom, _ = example
-        out = reverse_segment(chrom, 1, 5)
-        validate_chromosome(out, 5, 2, rm)
-        assert labels(out)[0] == ("M", (1, 3))
+        assert [rm.node_by_id[n].cluster for n in ts.tours[0][1:-1]] == [1, 2, 5, 4]
+        assert [rm.node_by_id[n].cluster for n in ts.tours[1][1:-1]] == [3]
 
     def test_out_of_bounds_rejected(self, example):
         _, _, chrom, _ = example
@@ -81,118 +59,33 @@ class TestVehicleReversal:
     def test_reverses_only_that_vehicle(self, example):
         _, rm, chrom, _ = example
         out = reverse_vehicle_segment(chrom, 0, 1, 3)
-        assert labels(out)[1:4] == [(3, 3), (2, 3), (1, 1)]
-        assert labels(out)[5:] == labels(chrom)[5:]
-        validate_chromosome(out, 5, 2, rm)
+        assert labels(out)[0:3] == [(3, 3), (2, 3), (1, 1)]
+        assert labels(out)[3:] == labels(chrom)[3:]
+        validate_chromosome(out, rm)
 
     def test_single_gene_vehicle_is_identity(self, worked_example):
         _, rm, _ = worked_example
-        chrom = Chromosome([0, 1, 2, 3, 4, 0, 0, 5], [0, 1, 1, 1, 1, 1], [(1, 1), (1, 1)])
+        chrom = Chromosome([1, 2, 3, 4, 0, 5], [0, 1, 1, 1, 1, 1])
         assert reverse_vehicle_segment(chrom, 1, 1, 1) is chrom
 
 
 class TestSwapGenes:
     def test_cross_vehicle_swap(self, example):
         _, rm, chrom, _ = example
-        out = swap_genes(chrom, 2, 7)
-        assert labels(out)[1] == (4, 2)
-        assert labels(out)[6] == (1, 1)
-        validate_chromosome(out, 5, 2, rm)
+        out = swap_genes(chrom, 1, 5)
+        assert labels(out)[0] == (4, 2)
+        assert labels(out)[4] == (1, 1)
+        validate_chromosome(out, rm)
 
     def test_delimiter_swap_keeps_invariants(self, example):
         _, rm, chrom, _ = example
-        out = swap_genes(chrom, 2, 5)  # task gene exchanged with bare divider
-        validate_chromosome(out, 5, 2, rm)
+        out = swap_genes(chrom, 1, 4)  # task gene exchanged with the divider
+        validate_chromosome(out, rm)
 
     def test_same_position_rejected(self, example):
         _, _, chrom, _ = example
         with pytest.raises(ChromosomeError):
             swap_genes(chrom, 3, 3)
-
-
-@pytest.fixture(scope="module")
-def fleets():
-    """Roadmaps with 2 and 4 vehicles.  Built roadmaps hold one depot and
-    one terminal node per vehicle, so every payload would be (1, 1); these
-    hold three of each, so that payloads differ and their order shows."""
-    centers = [(300.0, 200.0), (900.0, 250.0), (600.0, 600.0),
-               (250.0, 950.0), (950.0, 900.0), (600.0, 1100.0)]
-    depots = [(0.0, 0.0), (1200.0, 1200.0), (0.0, 1200.0), (1200.0, 0.0)]
-    out = {}
-    for m in (2, 4):
-        inst = build_instance(centers, n_vehicles=m, samples_per_cluster=2, velocity=50,
-                              depots=depots[:m], seed=m)
-        rng = random.Random(m)
-        nodes = []
-        for veh in inst.vehicles:
-            clusters = [(DEPOT, veh.depot, 3), (TERMINAL, veh.terminal, 3),
-                        *((t.id, t.center, 2) for t in inst.tasks)]
-            for cluster, (x, y), count in clusters:
-                for k in range(1, count + 1):
-                    nodes.append(SampleNode(len(nodes), veh.id, cluster, k,
-                                            Config(x, y, rng.uniform(0, 2 * math.pi))))
-        out[m] = manual_roadmap(inst, nodes, with_nin=False)
-    return out
-
-
-def reseated(moved):
-    """Labels after a move: the payloads, in the order the move left them,
-    sit on the odd-numbered delimiters again."""
-    payloads = iter([lab[1] for lab in moved if lab[0] == "M" and lab[1] is not None])
-    out = []
-    delims = 0
-    for lab in moved:
-        if lab[0] == "M":
-            lab = ("M", next(payloads) if delims % 2 == 0 else None)
-            delims += 1
-        out.append(lab)
-    return out
-
-
-def tours_of(labelled, rm):
-    """Node tours read off a label list: even-numbered delimiters end a
-    vehicle's segment, odd-numbered ones carry its depot/terminal samples."""
-    segments, payloads = [[]], []
-    delims = 0
-    for lab in labelled:
-        if lab[0] == "M":
-            delims += 1
-            if delims % 2 == 0:
-                segments.append([])
-            else:
-                payloads.append(lab[1])
-        else:
-            segments[-1].append(lab)
-    tours = []
-    for veh, (d, t), segment in zip(rm.vehicle_ids, payloads, segments):
-        tours.append((rm.node(veh, DEPOT, d).id,
-                      *(rm.node(veh, c, s).id for c, s in segment),
-                      rm.node(veh, TERMINAL, t).id))
-    return tuple(tours)
-
-
-class TestPayloadMovement:
-    @given(m=st.sampled_from([2, 4]), seed=st.integers(0, 2 ** 32 - 1),
-           reverse=st.booleans(), data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_moves_match_labelled_reference(self, fleets, m, seed, reverse, data):
-        rm = fleets[m]
-        chrom = random_chromosome(rm, random.Random(seed))
-        length = len(chrom)
-        i = data.draw(st.integers(1, length), label="i")
-        moved = labels(chrom)
-        if reverse:
-            j = data.draw(st.integers(i, length), label="j")
-            out = reverse_segment(chrom, i, j)
-            moved[i - 1:j] = moved[i - 1:j][::-1]
-        else:
-            j = data.draw(st.integers(1, length).filter(lambda x: x != i), label="j")
-            out = swap_genes(chrom, i, j)
-            moved[i - 1], moved[j - 1] = moved[j - 1], moved[i - 1]
-        want = reseated(moved)
-        assert labels(out) == want
-        validate_chromosome(out, rm.n_tasks, m, rm)
-        assert decode(out, rm).tours == tours_of(want, rm)
 
 
 class TestImproveOrReject:
@@ -221,16 +114,16 @@ class TestImproveOrReject:
 
     def test_task_swap_examples(self, example):
         _, rm, chrom, ev = example
-        out = task_swap(chrom, 2, 7, ev)
-        validate_chromosome(out, 5, 2, rm)
+        out = task_swap(chrom, 1, 5, ev)
+        validate_chromosome(out, rm)
         assert ev.cost(out) <= ev.cost(chrom)
 
     def test_local_2opt_respects_other_vehicles(self, example):
         _, rm, chrom, ev = example
         out = local_2opt(chrom, 0, 1, 3, ev)
-        validate_chromosome(out, 5, 2, rm)
+        validate_chromosome(out, rm)
         if out is not chrom:
-            assert labels(out)[5:] == labels(chrom)[5:]
+            assert labels(out)[3:] == labels(chrom)[3:]
 
 
 class TestSampleSwap:
@@ -375,7 +268,7 @@ def reference_crossover(parent1, parent2, share, rng):
             else:
                 child[pos] = 0
     samples = [0] + [sample_of.get(c, parent1.samples[c]) for c in range(1, len(parent1.samples))]
-    return Chromosome(child, samples, parent1.payloads)
+    return Chromosome(child, samples)
 
 
 class TestCrossover:
@@ -392,7 +285,7 @@ class TestCrossover:
             p1 = random_chromosome(rm, rng)
             p2 = random_chromosome(rm, rng)
             child = crossover(p1, p2, params, rng)
-            validate_chromosome(child, rm.n_tasks, rm.n_vehicles, rm)
+            validate_chromosome(child, rm)
             assert sorted(g for g in child.genes if g != 0) == list(range(1, rm.n_tasks + 1))
 
     def test_matches_reference_implementation(self, example):
@@ -400,7 +293,7 @@ class TestCrossover:
         params = MAParams(seed=0)
         rng1 = random.Random(1234)
         rng2 = random.Random(1234)
-        p2 = reverse_segment(chrom, 2, 7)
+        p2 = reverse_segment(chrom, 2, 5)
         child = crossover(chrom, p2, params, rng1)
         want = reference_crossover(chrom, p2, params.crossover_p1_share, rng2)
         assert fields(child) == fields(want)
@@ -454,13 +347,20 @@ class TestImprove:
                 assert ev.cost(after) <= before + 1e-12
 
     def test_level2_not_worse_than_level1_same_seed(self, example):
+        """Both schedules draw random moves, so from one start Level II can
+        settle in a worse local optimum than Level I; over a fixed set of
+        starts it must do no worse on average."""
         _, rm, _, ev = example
-        for s in (0, 1, 2, 3, 5):  # derived: seeds where the schedules compare cleanly
+        level1, level2 = [], []
+        for s in range(20):
             chrom = random_chromosome(rm, random.Random(s))
             out1 = improve(chrom, "I", MAParams(seed=0), ev, random.Random(99))
             out2 = improve(chrom, "II", MAParams(seed=0), ev, random.Random(99))
             assert ev.cost(out1) <= ev.cost(chrom) + 1e-12
-            assert ev.cost(out2) <= ev.cost(out1) + 1e-9
+            assert ev.cost(out2) <= ev.cost(chrom) + 1e-12
+            level1.append(ev.cost(out1))
+            level2.append(ev.cost(out2))
+        assert sum(level2) <= sum(level1)
 
     def test_local_optimum_returned_unchanged(self, example):
         """A chromosome no single move can improve survives level I intact."""

@@ -51,7 +51,7 @@ class TestVoronoiSeeding:
         _, rm = mid_instance
         chrom = voronoi_chromosome(rm, random.Random(0))
         from ghmdatsp.memetic import validate_chromosome
-        validate_chromosome(chrom, rm.n_tasks, rm.n_vehicles, rm)
+        validate_chromosome(chrom, rm)
 
 
 class TestInitPopulation:

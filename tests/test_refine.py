@@ -70,7 +70,7 @@ class TestBuildChain:
                               depots=[(0.0, 0.0)], seed=3)
         rm = build_roadmap(inst)
         from ghmdatsp.memetic import Chromosome
-        ts = decode_nin(Chromosome([0, 1, 2], [0, 1, 1], [(1, 1)]), rm)
+        ts = decode_nin(Chromosome([1, 2], [0, 1, 1]), rm)
         # forge a reduced tourset that drops task 2 without any crossing
         forged = ts.__class__(
             tours=((ts.tours[0][0], ts.tours[0][1], ts.tours[0][-1]),),

@@ -4,7 +4,10 @@ The values were recorded with ``scipy.optimize.minimize(method="Nelder-Mead")``
 as the per-state search, before ``refine.minimize`` replaced it.  A change
 to the search passes only if, per case, the total cost after every
 half-sweep, the per-chain costs and every final state pose stay equal.
-The chains come from the polished initial population of a seeded search.
+The chains are built from pinned node tours: the best of the polished
+initial population of a seeded search (``run(..., max_generations=0)``),
+recorded before the chromosome lost its depot/terminal sample pairs.  Pinning
+the tours keeps these values independent of the search.
 """
 
 import functools
@@ -14,7 +17,7 @@ import importlib
 import pytest
 
 from ghmdatsp.instance import build_instance
-from ghmdatsp.memetic import MAParams, run
+from ghmdatsp.memetic import TourSet
 from ghmdatsp.refine import RefineParams, build_chain, refine
 from ghmdatsp.roadmap import build_roadmap
 
@@ -24,6 +27,18 @@ refine_mod = importlib.import_module("ghmdatsp.refine")
 VELOCITIES = [50.0, 60.0]
 SAMPLES = 3
 SWEEPS = 3
+
+# (vehicles, seed) -> node tours per vehicle; both metrics rank tours alike
+TOURS = {
+    (1, 1): ((0, 52, 53, 61, 64, 88, 9, 77, 27, 19, 85, 23, 72, 49, 68, 21, 75, 33, 56, 39,
+              12, 65, 1),),
+    (1, 2): ((0, 50, 55, 60, 6, 62, 16, 88, 10, 35, 18, 3, 24, 48, 70, 21, 74, 32, 58, 39,
+              12, 43, 1),),
+    (2, 1): ((0, 52, 54, 44, 61, 57, 47, 33, 67, 1),
+             (89, 114, 161, 173, 124, 116, 168, 175, 94, 129, 163, 109, 159, 90)),
+    (2, 2): ((0, 50, 42, 61, 13, 45, 76, 34, 67, 1),
+             (89, 113, 161, 92, 124, 117, 167, 97, 94, 152, 127, 137, 110, 157, 90)),
+}
 
 # (vehicles, seed, metric) -> (cost trace, per-chain cost, digest of the final poses)
 GOLDEN = {
@@ -75,8 +90,7 @@ def chains_for(vehicles, seed, metric):
     inst = build_instance(n_vehicles=vehicles, samples_per_cluster=SAMPLES, alpha=0.5,
                           velocity=VELOCITIES[:vehicles], cost_metric=metric, seed=seed)
     rm = build_roadmap(inst)
-    best = run(rm, MAParams(seed=seed, max_generations=0)).best
-    return build_chain(best, rm), list(inst.vehicles)
+    return build_chain(TourSet.from_tours(TOURS[(vehicles, seed)], rm), rm), list(inst.vehicles)
 
 
 def refined(vehicles, seed, metric):
