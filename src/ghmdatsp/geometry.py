@@ -43,9 +43,6 @@ class Config:
     def __post_init__(self):
         object.__setattr__(self, "theta", norm_angle(self.theta))
 
-    def distance_to(self, other: "Config") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 @dataclass(frozen=True)
 class Disk:

@@ -139,8 +139,9 @@ class Instance:
     def n_vehicles(self) -> int:
         return len(self.vehicles)
 
-    def validate(self) -> None:
-        """Raise :class:`InstanceError` listing every violated invariant."""
+    def __post_init__(self):
+        """Raise :class:`InstanceError` listing every violated invariant; runs
+        on every construction, ``dataclasses.replace`` included."""
         problems = []
         if self.n_tasks < 1:
             problems.append("at least one task is required")
@@ -191,12 +192,10 @@ class Instance:
         def tupled(entry, keys):  # JSON points load as lists
             return {key: tuple(v) if keys[key] == "point" else v for key, v in entry.items()}
 
-        inst = Instance(**{**doc,
+        return Instance(**{**doc,
                            "tasks": tuple(Task(**tupled(t, _TASK_KEYS)) for t in doc["tasks"]),
                            "vehicles": tuple(VehicleSpec(**tupled(v, _VEHICLE_KEYS))
                                              for v in doc["vehicles"])})
-        inst.validate()
-        return inst
 
 
 def load_tsplib(text: str) -> list[tuple[float, float]]:
@@ -317,7 +316,7 @@ def build_instance(
         )
         for k in range(n_vehicles)
     )
-    inst = Instance(
+    return Instance(
         tasks=tasks,
         vehicles=vehicles,
         alpha=float(alpha),
@@ -326,5 +325,3 @@ def build_instance(
         seed=int(seed),
         nin_enabled=bool(nin_enabled),
     )
-    inst.validate()
-    return inst

@@ -200,23 +200,6 @@ def _nin_reduce(tours: list[list[int]], roadmap: Roadmap):
     return tours, deleted
 
 
-def encode(tourset: TourSet, roadmap: Roadmap) -> Chromosome:
-    """Inverse of :func:`decode` for tours that visit every cluster."""
-    node_by_id = roadmap.node_by_id
-    genes = []
-    samples = [0] * (roadmap.n_tasks + 1)
-    for vi, tour in enumerate(tourset.tours):
-        if vi:
-            genes.append(0)
-        for nid in tour[1:-1]:
-            s = node_by_id[nid]
-            genes.append(s.cluster)
-            samples[s.cluster] = s.index_in_cluster
-    chrom = Chromosome(genes, samples)
-    validate_chromosome(chrom, roadmap)
-    return chrom
-
-
 class Evaluator:
     """Caches the chromosome -> TourSet -> cost mapping for one run."""
 
@@ -266,6 +249,8 @@ class MAParams:
     duplicate_cost_epsilon: ClassVar[float] = 1e-6
 
     def __post_init__(self):
+        if self.population_size < 2:
+            raise ValueError(f"population_size must be >= 2, not {self.population_size}")
         if self.time_limit_s is not None and not self.time_limit_s >= 0.0:  # NaN fails too
             raise ValueError(f"time_limit_s must be non-negative seconds, not {self.time_limit_s}")
 
@@ -587,8 +572,6 @@ def init_population(roadmap: Roadmap, params: MAParams, rng: random.Random,
     Once ``params.time_limit_s`` has passed since the call began, the
     members still to be made are kept unpolished.
     """
-    if params.population_size < 2:
-        raise ValueError("population_size must be >= 2")
     t0 = time.monotonic()
     orders = _voronoi_orders(roadmap)
     pop = []

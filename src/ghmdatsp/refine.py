@@ -16,7 +16,7 @@ moves are only ever accepted on strict improvement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .geometry import Config, Disk, dubins_shortest_path, sample_path
 from .instance import VehicleSpec
 from .memetic import TourSet, evaluate
-from .roadmap import Roadmap
+from .roadmap import DEPOT, Roadmap
 
 
 class RefineError(RuntimeError):
@@ -51,11 +51,14 @@ MAX_EVALUATIONS = 80
 class ChainState:
     """One optimizable state: an endpoint heading or an in-disk task pose."""
 
-    kind: str  # "depot", "task" or "terminal"
-    cluster: int
+    cluster: int  # task id, DEPOT or TERMINAL
     config: Config
     disk: Disk | None = None  # feasible region; None for fixed-position endpoints
-    direct: bool = True  # False when the task is only crossed, not sampled
+
+    @property
+    def kind(self) -> str:
+        """``"task"``, ``"depot"`` or ``"terminal"``, read from ``cluster``."""
+        return "task" if self.cluster > 0 else "depot" if self.cluster == DEPOT else "terminal"
 
 
 @dataclass
@@ -64,9 +67,6 @@ class WaypointChain:
 
     vehicle_id: int
     states: list[ChainState]
-
-    def clusters(self) -> list[int]:
-        return [s.cluster for s in self.states if s.kind == "task"]
 
 
 @dataclass
@@ -115,7 +115,7 @@ def build_chain(tourset: TourSet, roadmap: Roadmap) -> list[WaypointChain]:
         if len(tour) <= 2:
             continue
         radius = veh.sensing_range
-        states = [ChainState("depot", node_by_id[tour[0]].cluster, node_by_id[tour[0]].config)]
+        states = [ChainState(node_by_id[tour[0]].cluster, node_by_id[tour[0]].config)]
         for a, b in zip(tour, tour[1:]):
             # densify the leg once; every task not yet placed goes to its first entry
             path = dubins_shortest_path(node_by_id[a].config, node_by_id[b].config, veh.r_min)
@@ -129,15 +129,13 @@ def build_chain(tourset: TourSet, roadmap: Roadmap) -> list[WaypointChain]:
                     entries.append((int(inside[0]), t))
                     unplaced.remove(t)
             for step, t in sorted(entries, key=lambda e: e[0]):
-                states.append(ChainState("task", t, poses[step],
-                                         Disk(task_by_id[t].center, radius), direct=False))
+                states.append(ChainState(t, poses[step], Disk(task_by_id[t].center, radius)))
             node_b = node_by_id[b]
             if node_b.cluster > 0:
-                states.append(ChainState("task", node_b.cluster, node_b.config,
+                states.append(ChainState(node_b.cluster, node_b.config,
                                          Disk(task_by_id[node_b.cluster].center,
                                               task_by_id[node_b.cluster].radius)))
-        states.append(ChainState("terminal", node_by_id[tour[-1]].cluster,
-                                 node_by_id[tour[-1]].config))
+        states.append(ChainState(node_by_id[tour[-1]].cluster, node_by_id[tour[-1]].config))
         out.append(WaypointChain(veh.id, states))
     if unplaced:
         raise RefineError(
@@ -207,9 +205,10 @@ def _optimize_state(chain: WaypointChain, idx: int, veh: VehicleSpec, metric: st
     prev = states[idx - 1].config if idx > 0 else None
     nxt = states[idx + 1].config if idx < len(states) - 1 else None
     cur_cfg = state.config
+    is_task = state.kind == "task"
 
     def config_of(v):  # a task's pose stays in its disk; an endpoint only turns
-        if state.kind == "task":
+        if is_task:
             return Config(*_project(state.disk, v[0], v[1]), v[2])
         return Config(cur_cfg.x, cur_cfg.y, v[0])
 
@@ -219,7 +218,7 @@ def _optimize_state(chain: WaypointChain, idx: int, veh: VehicleSpec, metric: st
 
     best_cost, best_cfg = cost_of(cur_cfg), cur_cfg
     for off in HEADING_RESTARTS:
-        if state.kind == "task":
+        if is_task:
             step = max(state.disk.radius * 0.5, 1e-3)
             x0 = [cur_cfg.x, cur_cfg.y, cur_cfg.theta + off]
             edges = [(step, 0.0, 0.0), (0.0, step, 0.0), (0.0, 0.0, SIMPLEX_HEADING_STEP)]
@@ -231,7 +230,7 @@ def _optimize_state(chain: WaypointChain, idx: int, veh: VehicleSpec, metric: st
             best_cost, best_cfg = cost, config_of(v)
 
     if best_cfg is not cur_cfg:
-        states[idx] = ChainState(state.kind, state.cluster, best_cfg, state.disk, state.direct)
+        states[idx] = replace(state, config=best_cfg)
         return True
     return False
 

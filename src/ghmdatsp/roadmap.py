@@ -50,8 +50,6 @@ def generate_samples(instance: Instance) -> list[SampleNode]:
     headings; each depot/terminal cluster holds exactly one node at the
     fixed position with a seeded random heading.  Deterministic per seed.
     """
-    if instance.samples_per_cluster < 1:
-        raise ValueError("samples_per_cluster must be >= 1")
     rng = np.random.default_rng(instance.seed)
     nodes: list[SampleNode] = []
     nid = 0
@@ -107,17 +105,14 @@ def build_cost_matrix(nodes: list[SampleNode], instance: Instance) -> dict[int, 
     return matrices
 
 
-def build_nin_tables(
-    nodes: list[SampleNode], instance: Instance
-) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
-    """Necessarily-intersected task sets for every node and their inverses.
+def build_nin_tables(nodes: list[SampleNode], instance: Instance) -> dict[int, set[int]]:
+    """Necessarily-intersected task set of every node.
 
     For a task-cluster node s of vehicle k, task t != cluster(s) lands in
     the node's set exactly when both turning circles at s (radius r_min of
     k) intersect the disk around t with vehicle k's sensing range.
     Depot/terminal nodes get empty sets.
     """
-    task_to_nodes: dict[int, set[int]] = {t.id: set() for t in instance.tasks}
     node_to_tasks: dict[int, set[int]] = {}
     specs = {v.id: v for v in instance.vehicles}
     for s in nodes:
@@ -125,13 +120,11 @@ def build_nin_tables(
         if s.cluster > 0:
             veh = specs[s.vehicle]
             for task in instance.tasks:
-                if task.id == s.cluster:
-                    continue
-                if nin_check(s.config, veh.r_min, Disk(task.center, veh.sensing_range)):
+                if (task.id != s.cluster
+                        and nin_check(s.config, veh.r_min, Disk(task.center, veh.sensing_range))):
                     covered.add(task.id)
-                    task_to_nodes[task.id].add(s.id)
         node_to_tasks[s.id] = covered
-    return task_to_nodes, node_to_tasks
+    return node_to_tasks
 
 
 @dataclass
@@ -145,8 +138,9 @@ class Roadmap:
     instance: Instance
     nodes: list[SampleNode]
     cost: dict[int, np.ndarray]
-    nin_task_to_nodes: dict[int, set[int]]
     nin_node_to_tasks: dict[int, set[int]]
+    #: the inverse crossing map: the nodes that cross each task
+    nin_task_to_nodes: dict[int, set[int]] = field(init=False)
     node_by_id: dict[int, SampleNode] = field(init=False)
     local_index: dict[int, int] = field(init=False)
     #: node ids of each (vehicle, cluster), in sample order; ``ids_by_vehicle``
@@ -159,6 +153,10 @@ class Roadmap:
     def __post_init__(self):
         self.vehicle_ids = tuple(v.id for v in self.instance.vehicles)
         self.node_by_id = {s.id: s for s in self.nodes}
+        self.nin_task_to_nodes = {t.id: set() for t in self.instance.tasks}
+        for nid, crossed in self.nin_node_to_tasks.items():
+            for t in crossed:
+                self.nin_task_to_nodes[t].add(nid)
         self.local_index = {}
         counters: dict[int, int] = {}
         for s in self.nodes:
@@ -208,12 +206,8 @@ class Roadmap:
 
 def build_roadmap(instance: Instance) -> Roadmap:
     """Generate samples, costs and NIN tables for ``instance``."""
-    instance.validate()
     nodes = generate_samples(instance)
     cost = build_cost_matrix(nodes, instance)
-    if instance.nin_enabled:
-        s_nin, t_nin = build_nin_tables(nodes, instance)
-    else:
-        s_nin = {t.id: set() for t in instance.tasks}
-        t_nin = {s.id: set() for s in nodes}
-    return Roadmap(instance, nodes, cost, s_nin, t_nin)
+    nin = (build_nin_tables(nodes, instance) if instance.nin_enabled
+           else {s.id: set() for s in nodes})
+    return Roadmap(instance, nodes, cost, nin)

@@ -14,12 +14,9 @@ from ghmdatsp.roadmap import DEPOT, TERMINAL, Roadmap, SampleNode, build_cost_ma
 def manual_roadmap(instance: Instance, nodes: list[SampleNode], with_nin: bool = True) -> Roadmap:
     """Assemble a roadmap from explicitly placed sample nodes."""
     cost = build_cost_matrix(nodes, instance)
-    if with_nin and instance.nin_enabled:
-        s_nin, t_nin = build_nin_tables(nodes, instance)
-    else:
-        s_nin = {t.id: set() for t in instance.tasks}
-        t_nin = {s.id: set() for s in nodes}
-    return Roadmap(instance, nodes, cost, s_nin, t_nin)
+    nin = (build_nin_tables(nodes, instance) if with_nin and instance.nin_enabled
+           else {s.id: set() for s in nodes})
+    return Roadmap(instance, nodes, cost, nin)
 
 
 def on_one_turning_circle(a: Config, b: Config, r_min: float, tol: float = 1e-6) -> bool:

@@ -254,26 +254,25 @@ class TestAcceptance:
         monotone = True
         always_converged = True
         for _ in range(100):
-            states = [ChainState("depot", -1, Config(0, 0, rng.uniform(0, 6.28)))]
+            states = [ChainState(-1, Config(0, 0, rng.uniform(0, 6.28)))]
             x = 0.0
             for t in range(1, rng.randint(2, 5)):
                 x += rng.uniform(20, 45)
                 cy = rng.uniform(-18, 18)
                 states.append(ChainState(
-                    "task", t,
+                    t,
                     Config(x + rng.uniform(-5, 5), cy + rng.uniform(-5, 5),
                            rng.uniform(0, 6.28)),
                     Disk((x, cy), rng.uniform(5.0, 10.0))))
-            states.append(ChainState("terminal", -2,
-                                     Config(x + 30.0, 0.0, rng.uniform(0, 6.28))))
+            states.append(ChainState(-2, Config(x + 30.0, 0.0, rng.uniform(0, 6.28))))
             res = refine([WaypointChain(1, states)], [veh], RefineParams())
             trace = res.cost_trace
             monotone &= all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
             always_converged &= res.converged
         chain = WaypointChain(1, [
-            ChainState("depot", -1, Config(0, 0, 0.5)),
-            ChainState("task", 1, Config(50, 5, 2.0), Disk((50.0, 0.0), 10.0)),
-            ChainState("terminal", -2, Config(100, 0, 1.0)),
+            ChainState(-1, Config(0, 0, 0.5)),
+            ChainState(1, Config(50, 5, 2.0), Disk((50.0, 0.0), 10.0)),
+            ChainState(-2, Config(100, 0, 1.0)),
         ])
         straight = refine([chain], [veh], RefineParams()).per_chain_cost[0]
         ok = monotone and always_converged and straight <= 100.001

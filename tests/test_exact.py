@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 
 from ghmdatsp.exact import (MalformedSolutionError, RelaxedSolution, SizeLimitError,
-                            cut_rows_text, enumeration_size, export_milp, find_subtours,
-                            solve_bruteforce, subtour_cut_rows)
+                            cut_rows_text, export_milp, find_subtours, solve_bruteforce,
+                            subtour_cut_rows)
 from ghmdatsp.geometry import Config
 from ghmdatsp.instance import build_instance
 from ghmdatsp.memetic import MAParams, run
@@ -189,6 +190,28 @@ class TestBruteForce:
         with pytest.raises(SizeLimitError):
             solve_bruteforce(rm)
 
+    def test_guard_refuses_four_vehicles_with_eighteen_samples(self):
+        """Four tasks: 73^4 assignments and 2.5e6 path states, over both limits."""
+        g = random.Random(4)
+        centers = [(g.uniform(0, 1200), g.uniform(0, 1200)) for _ in range(4)]
+        inst = build_instance(centers, n_vehicles=4, samples_per_cluster=18, velocity=50, seed=4)
+        with pytest.raises(SizeLimitError, match="2.84e\\+07 assignments"):
+            solve_bruteforce(build_roadmap(inst))
+
+    def test_guard_refuses_counts_beyond_float_range(self):
+        """180 one-sample tasks: counts past the float range are still a refusal."""
+        centers = [(40.0 * (i % 15), 40.0 * (i // 15)) for i in range(180)]
+        rm = build_roadmap(build_instance(centers, n_vehicles=1, samples_per_cluster=1))
+        with pytest.raises(SizeLimitError):
+            solve_bruteforce(rm)
+
+    def test_twelve_city_grid_solves(self):
+        """One vehicle and one sample per task: 4096 assignments, within the limits."""
+        centers = [(x, y) for x in (300.0, 700.0, 1100.0, 1500.0) for y in (300.0, 700.0, 1100.0)]
+        rm = build_roadmap(build_instance(centers, n_vehicles=1, samples_per_cluster=1))
+        opt = solve_bruteforce(rm)
+        assert coverage_ok(opt, rm)
+
     def test_two_depot_nodes_raise_value_error(self):
         inst = build_instance([(500.0, 0.0)], n_vehicles=1, samples_per_cluster=1,
                               velocity=50, depots=[(0.0, 0.0)], seed=2)
@@ -200,16 +223,6 @@ class TestBruteForce:
         ]
         with pytest.raises(ValueError, match="vehicle 1: depot cluster holds 2 nodes"):
             manual_roadmap(inst, nodes, with_nin=False)
-
-    def test_enumeration_size_formula(self):
-        # n tasks into m ordered lists with s samples each, plus skip option
-        assert enumeration_size(1, 1, 1) == 2          # skip or visit
-        assert enumeration_size(2, 1, 1) == 1 + 2 + 2  # {}, {1}, {2}, {1,2} in 2 orders
-        got = enumeration_size(3, 2, 2)
-        brute = 0
-        for j in range(4):
-            brute += (math.comb(3, j) * math.factorial(j) * math.comb(j + 1, 1) * 2 ** j)
-        assert got == brute
 
     def test_oracle_below_memetic_on_tiny_instances(self):
         for key in (1, 4):

@@ -70,7 +70,7 @@ class TestDubinsShortestPath:
         tip = path.endpoint()
         assert math.hypot(tip.x - end.x, tip.y - end.y) <= 1e-6
         assert ang_diff(tip.theta, end.theta) <= 1e-6
-        assert path.length >= start.distance_to(end) - 1e-9
+        assert path.length >= math.dist((start.x, start.y), (end.x, end.y)) - 1e-9
         assert all(seg >= -1e-12 for seg in path.segment_params)
 
     def test_lengths_match_control_search_oracle(self):
@@ -184,7 +184,7 @@ class TestSamplePath:
         tip = poses[-1]
         assert math.hypot(tip.x - x2, tip.y - y2) <= 1e-6
         for a, b in zip(poses, poses[1:]):
-            assert a.distance_to(b) <= spacing + 1e-9
+            assert math.dist((a.x, a.y), (b.x, b.y)) <= spacing + 1e-9
 
     def test_rejects_nonpositive_spacing(self):
         path = dubins_shortest_path(Config(0, 0, 0), Config(5, 0, 0), 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -91,6 +92,10 @@ class TestBuildInstance:
             build_instance([(0.0, 0.0)], alpha=2.0, samples_per_cluster=0)
         msg = str(err.value)
         assert "alpha" in msg and "samples_per_cluster" in msg
+
+    def test_replaced_field_is_checked(self):
+        with pytest.raises(InstanceError, match="alpha"):
+            dataclasses.replace(build_instance(), alpha=2.0)
 
     def test_json_roundtrip_is_byte_stable(self):
         inst = build_instance(n_vehicles=2, samples_per_cluster=3, seed=9)

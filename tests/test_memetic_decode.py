@@ -4,7 +4,7 @@ import pytest
 
 from ghmdatsp.instance import build_instance
 from ghmdatsp.memetic import (Chromosome, ChromosomeError, Evaluator, decode, decode_nin,
-                              encode, evaluate, random_chromosome, validate_chromosome)
+                              evaluate, random_chromosome, validate_chromosome)
 from ghmdatsp.roadmap import build_roadmap
 
 from conftest import coverage_ok, random_tiny_instance
@@ -61,21 +61,6 @@ class TestDecode:
         for samples in (chrom.samples[:-1], chrom.samples + (1,)):
             with pytest.raises(ChromosomeError, match="samples"):
                 validate_chromosome(Chromosome(chrom.genes, samples), rm)
-
-    def test_encode_inverts_decode(self, worked_example):
-        _, rm, chrom = worked_example
-        ts = decode(chrom, rm)
-        again = decode(encode(ts, rm), rm)
-        assert again.tours == ts.tours
-        assert again.objective == pytest.approx(ts.objective)
-
-    def test_encode_decode_roundtrip_random(self, worked_example):
-        _, rm, _ = worked_example
-        rng = random.Random(5)
-        for _ in range(25):
-            chrom = random_chromosome(rm, rng)
-            ts = decode(chrom, rm)
-            assert decode(encode(ts, rm), rm).tours == ts.tours
 
 
 class TestEvaluate:

@@ -161,6 +161,10 @@ class TestRun:
         with pytest.raises(ValueError, match="time_limit_s"):
             MAParams(time_limit_s=limit)
 
+    def test_population_of_one_is_rejected(self):
+        with pytest.raises(ValueError, match="population_size"):
+            MAParams(population_size=1)
+
     def test_spent_budget_skips_init_polish_and_generations(self, mid_instance):
         inst, rm = mid_instance
         res = run(rm, MAParams(population_size=40, seed=5, time_limit_s=1e-9))

@@ -38,19 +38,21 @@ class TestBuildChain:
         assert len(chains) == 1
         assert [s.config for s in chains[0].states] == \
             [rm.node_by_id[n].config for n in ts.tours[0]]
-        assert all(s.direct for s in chains[0].states if s.kind == "task")
+        direct = {rm.node_by_id[n].cluster for n in ts.tours[0][1:-1]}
+        assert all(s.cluster in direct for s in chains[0].states if s.kind == "task")
 
     def test_crossed_tasks_get_entry_states(self, pruning_example):
         inst, rm, chrom = pruning_example
         ts = decode_nin(chrom, rm)
         chains = build_chain(ts, rm)
+        direct = {rm.node_by_id[n].cluster for tour in ts.tours for n in tour[1:-1]}
         total_states = sum(len(c.states) for c in chains)
         vehicles_with_tasks = len(chains)
         assert vehicles_with_tasks == 2
         assert total_states == rm.n_tasks + 2 * vehicles_with_tasks  # n + 2m'
         for chain in chains:
             for s in chain.states:
-                if s.kind == "task" and not s.direct:
+                if s.kind == "task" and s.cluster not in direct:
                     d = math.dist((s.config.x, s.config.y), s.disk.center)
                     assert d <= s.disk.radius + 1e-6
 
@@ -61,8 +63,10 @@ class TestBuildChain:
         # vehicle 1 keeps task 1 directly and crosses 2 and 3 on the way
         v1 = chains[0]
         assert v1.states[0].kind == "depot" and v1.states[-1].kind == "terminal"
-        assert set(v1.clusters()) == {1, 2, 3}
-        assert [s.cluster for s in v1.states if s.kind == "task" and s.direct] == [1]
+        assert {s.cluster for s in v1.states if s.kind == "task"} == {1, 2, 3}
+        direct = [rm.node_by_id[n].cluster for n in ts.tours[0][1:-1]]
+        assert direct == [1]
+        assert [s.cluster for s in v1.states if s.cluster in direct] == [1]
 
     def test_inconsistent_claim_raises(self):
         inst = build_instance([(500.0, 0.0), (900.0, 0.0)], n_vehicles=1,
@@ -99,7 +103,7 @@ def expected_chains(ts, rm):
     leg and first sample step whose pose lies within that vehicle's sensing
     range of the task centre.  Within a leg, crossed tasks come in step
     order, ties in task-id order, before the leg's end node.  Each chain is
-    a list of (cluster, pose, disk, direct) by vehicle id.
+    a list of (cluster, pose, disk) by vehicle id.
     """
     inst = rm.instance
     tasks = {t.id: t for t in inst.tasks}
@@ -125,14 +129,14 @@ def expected_chains(ts, rm):
         if len(tour) <= 2:
             continue
         first = rm.node_by_id[tour[0]]
-        chain = [(first.cluster, first.config, None, True)]
+        chain = [(first.cluster, first.config, None)]
         for li, b in enumerate(tour[1:]):
             for _, t, pose, rad in sorted(crossed.get((vi, li), [])):
-                chain.append((t, pose, Disk(tasks[t].center, rad), False))
+                chain.append((t, pose, Disk(tasks[t].center, rad)))
             node = rm.node_by_id[b]
             disk = Disk(tasks[node.cluster].center, tasks[node.cluster].radius) \
                 if node.cluster > 0 else None
-            chain.append((node.cluster, node.config, disk, True))
+            chain.append((node.cluster, node.config, disk))
         out[inst.vehicles[vi].id] = chain
     return out
 
@@ -146,7 +150,7 @@ def test_crossed_tasks_go_to_first_entry(chrom_seed):
     chains = build_chain(ts, rm)
     assert [c.vehicle_id for c in chains] == list(want)
     for chain in chains:
-        got = [(s.cluster, s.config, s.disk, s.direct) for s in chain.states]
+        got = [(s.cluster, s.config, s.disk) for s in chain.states]
         assert got == want[chain.vehicle_id]
 
 
@@ -154,9 +158,9 @@ class TestRefine:
     def test_straight_line_through_disk_converges(self):
         veh = make_vehicle()
         chain = WaypointChain(1, [
-            ChainState("depot", -1, Config(0, 0, 0.5)),
-            ChainState("task", 1, Config(50, 5, 2.0), Disk((50.0, 0.0), 10.0)),
-            ChainState("terminal", -2, Config(100, 0, 1.0)),
+            ChainState(-1, Config(0, 0, 0.5)),
+            ChainState(1, Config(50, 5, 2.0), Disk((50.0, 0.0), 10.0)),
+            ChainState(-2, Config(100, 0, 1.0)),
         ])
         res = refine([chain], [veh])
         assert res.per_chain_cost[0] <= 100.001
@@ -166,16 +170,16 @@ class TestRefine:
         rng = random.Random(2)
         veh = make_vehicle()
         for _ in range(10):
-            states = [ChainState("depot", -1, Config(0, 0, rng.uniform(0, 6.28)))]
+            states = [ChainState(-1, Config(0, 0, rng.uniform(0, 6.28)))]
             x = 0.0
             for t in range(1, rng.randint(2, 5)):
                 x += rng.uniform(20, 40)
                 cy = rng.uniform(-15, 15)
-                states.append(ChainState("task", t,
+                states.append(ChainState(t,
                                          Config(x + rng.uniform(-5, 5), cy + rng.uniform(-5, 5),
                                                 rng.uniform(0, 6.28)),
                                          Disk((x, cy), 8.0)))
-            states.append(ChainState("terminal", -2, Config(x + 30.0, 0.0, rng.uniform(0, 6.28))))
+            states.append(ChainState(-2, Config(x + 30.0, 0.0, rng.uniform(0, 6.28))))
             chain = WaypointChain(1, states)
             res = refine([chain], [veh], RefineParams(max_sweeps=12))
             trace = res.cost_trace
@@ -184,10 +188,10 @@ class TestRefine:
     def test_feasibility_preserved(self):
         veh = make_vehicle()
         chain = WaypointChain(1, [
-            ChainState("depot", -1, Config(0, 0, 1.0)),
-            ChainState("task", 1, Config(40, 10, 0.5), Disk((40.0, 12.0), 6.0)),
-            ChainState("task", 2, Config(70, -8, 5.5), Disk((72.0, -10.0), 6.0)),
-            ChainState("terminal", -2, Config(100, 0, 2.5)),
+            ChainState(-1, Config(0, 0, 1.0)),
+            ChainState(1, Config(40, 10, 0.5), Disk((40.0, 12.0), 6.0)),
+            ChainState(2, Config(70, -8, 5.5), Disk((72.0, -10.0), 6.0)),
+            ChainState(-2, Config(100, 0, 2.5)),
         ])
         res = refine([chain], [veh])
         out = res.chains[0]
@@ -201,20 +205,22 @@ class TestRefine:
         inst, rm, chrom = pruning_example
         ts = decode_nin(chrom, rm)
         chains = build_chain(ts, rm)
-        before = [c.clusters() for c in chains]
+        def clusters(chain):
+            return [s.cluster for s in chain.states if s.kind == "task"]
+        before = [clusters(c) for c in chains]
         res = refine(chains, list(inst.vehicles))
-        assert [c.clusters() for c in res.chains] == before
+        assert [clusters(c) for c in res.chains] == before
 
     def test_termination_within_max_sweeps(self):
         rng = random.Random(5)
         veh = make_vehicle()
         for _ in range(5):
-            states = [ChainState("depot", -1, Config(0, 0, rng.uniform(0, 6.28)))]
+            states = [ChainState(-1, Config(0, 0, rng.uniform(0, 6.28)))]
             for t in range(1, 4):
-                states.append(ChainState("task", t,
+                states.append(ChainState(t,
                                          Config(30.0 * t, rng.uniform(-10, 10), rng.uniform(0, 6.28)),
                                          Disk((30.0 * t, 0.0), 9.0)))
-            states.append(ChainState("terminal", -2, Config(120, 0, rng.uniform(0, 6.28))))
+            states.append(ChainState(-2, Config(120, 0, rng.uniform(0, 6.28))))
             res = refine([WaypointChain(1, states)], [veh], RefineParams(max_sweeps=60))
             assert res.converged
             assert res.sweeps < 60

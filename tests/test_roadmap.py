@@ -6,8 +6,8 @@ import pytest
 
 from ghmdatsp.geometry import Config, dubins_shortest_path
 from ghmdatsp.instance import build_instance
-from ghmdatsp.roadmap import (DEPOT, TERMINAL, SampleNode, build_cost_matrix, build_nin_tables,
-                              build_roadmap, generate_samples)
+from ghmdatsp.roadmap import (DEPOT, TERMINAL, SampleNode, build_cost_matrix, build_roadmap,
+                              generate_samples)
 
 from conftest import manual_roadmap, on_one_turning_circle
 
@@ -133,7 +133,8 @@ class TestCostMatrix:
             for i, a in enumerate(locals_):
                 for j, b in enumerate(locals_):
                     if math.isfinite(mat[i, j]):
-                        assert mat[i, j] >= a.config.distance_to(b.config) - 1e-9
+                        assert mat[i, j] >= math.dist((a.config.x, a.config.y),
+                                                      (b.config.x, b.config.y)) - 1e-9
 
     def test_asymmetry_exists(self, small_roadmap):
         _, rm = small_roadmap
@@ -175,11 +176,11 @@ class TestNinTables:
             SampleNode(6, 1, 3, 1, Config(-320.0, 0.0, 0.0)),
             SampleNode(7, 1, 3, 2, Config(-320.0, 0.0, 1.0)),
         ]
-        s_nin, t_nin = build_nin_tables(nodes, inst)
-        assert t_nin[2] == {2, 3}   # first boundary node crosses tasks 2 and 3
-        assert t_nin[3] == {2}      # second crosses only the near task 2
-        assert s_nin[2] == {2, 3}   # task 2 is crossed by both boundary nodes
-        assert s_nin[3] == {2}      # task 3 only by the first
+        rm = manual_roadmap(inst, nodes)
+        assert rm.nin_node_to_tasks[2] == {2, 3}   # first boundary node crosses tasks 2 and 3
+        assert rm.nin_node_to_tasks[3] == {2}      # second crosses only the near task 2
+        assert rm.nin_task_to_nodes[2] == {2, 3}   # task 2 is crossed by both boundary nodes
+        assert rm.nin_task_to_nodes[3] == {2}      # task 3 only by the first
 
     def test_widely_separated_tasks_have_empty_tables(self):
         inst = build_instance([(0.0, 0.0), (5000.0, 0.0), (0.0, 5000.0)],
