@@ -1,10 +1,9 @@
 """Integer-programming export, subtour separation and a brute-force oracle.
 
 The model mirrors the roadmap exactly: binary y per node, binary x per
-permitted edge, binary y_nin per (task, crossing-node) pair, plus one
-continuous variable linearizing the max-cost term.  Subtour-elimination
-rows are not enumerated up front; :func:`find_subtours` separates violated
-ones from integral candidates so they can be added lazily.
+permitted edge, plus one continuous variable linearizing the max-cost term.
+Subtour-elimination rows are not enumerated up front; :func:`find_subtours`
+separates violated ones from integral candidates so they can be added lazily.
 
 The brute-force solver is intended for desk-scale validation only and is
 exact: over every coverage-feasible assignment it takes the cheapest visit
@@ -102,10 +101,6 @@ def _xvar(s: int, s2: int) -> str:
     return f"x_{s}_{s2}"
 
 
-def _ninvar(t: int, s: int) -> str:
-    return f"ynin_{t}_{s}"
-
-
 def _vehicle_edges(roadmap: Roadmap, veh_id: int):
     """Permitted (from, to, cost, x-variable name) edges of a vehicle."""
     locals_ = [s for s in roadmap.nodes if s.vehicle == veh_id]
@@ -119,52 +114,36 @@ def export_milp(roadmap: Roadmap) -> MilpModel:
     """Build the assignment/degree model over the roadmap.
 
     The objective blends the mean vehicle cost with a continuous variable z
-    bounded below by every per-vehicle cost.  Coverage uses a sum over the
-    task's own nodes plus its crossing-node indicators; NIN indicators are
-    tied to node choices by equalities.  Subtour rows are left to lazy
-    separation.
+    bounded below by every per-vehicle cost.  A task is covered by one of
+    its own nodes or by a chosen node that crosses it.  Subtour rows are
+    left to lazy separation.
     """
     inst = roadmap.instance
     m = inst.n_vehicles
     objective: dict[str, float] = {}
     constraints: list[tuple[str, dict[str, float], str, float]] = []
-    binaries: list[str] = []
-
-    for s in roadmap.nodes:
-        binaries.append(_yvar(s.id))
-    edges: dict[int, list[tuple[int, int, float, str]]] = {}
-    for veh in inst.vehicles:
-        edges[veh.id] = list(_vehicle_edges(roadmap, veh.id))
-        binaries.extend(x for _, _, _, x in edges[veh.id])
-    for t, nodes in roadmap.nin_task_to_nodes.items():
-        for s in sorted(nodes):
-            binaries.append(_ninvar(t, s))
-
-    for veh in inst.vehicles:
-        for _, _, c, x in edges[veh.id]:
-            objective[x] = inst.alpha * c / m
-    objective["z"] = 1.0 - inst.alpha
+    binaries = [_yvar(s.id) for s in roadmap.nodes]
+    out_of: dict[int, dict[str, float]] = {}
+    into: dict[int, dict[str, float]] = {}
 
     # z >= Cost_k for every vehicle
     for veh in inst.vehicles:
-        row = {x: c for _, _, c, x in edges[veh.id]}
+        row: dict[str, float] = {}
+        for a, b, c, x in _vehicle_edges(roadmap, veh.id):
+            binaries.append(x)
+            objective[x] = inst.alpha * c / m
+            row[x] = c
+            out_of.setdefault(a, {})[x] = 1.0
+            into.setdefault(b, {})[x] = 1.0
         row["z"] = -1.0
         constraints.append((f"maxcost_v{veh.id}", row, "<=", 0.0))
+    objective["z"] = 1.0 - inst.alpha
 
-    # crossing indicators track node choices
-    for t in sorted(roadmap.nin_task_to_nodes):
-        for s in sorted(roadmap.nin_task_to_nodes[t]):
-            constraints.append(
-                (f"nin_t{t}_s{s}", {_ninvar(t, s): 1.0, _yvar(s): -1.0}, "=", 0.0))
-
-    # every task covered directly or by a crossing node
+    # every task covered by one of its own nodes or by a node crossing it
     for task in inst.tasks:
-        row: dict[str, float] = {}
-        for veh in inst.vehicles:
-            for nid in roadmap.cluster_ids[(veh.id, task.id)]:
-                row[_yvar(nid)] = 1.0
-        for s in sorted(roadmap.nin_task_to_nodes[task.id]):
-            row[_ninvar(task.id, s)] = 1.0
+        row = {_yvar(nid): 1.0 for veh in inst.vehicles
+               for nid in roadmap.cluster_ids[(veh.id, task.id)]}
+        row.update((_yvar(s), 1.0) for s in sorted(roadmap.nin_task_to_nodes[task.id]))
         constraints.append((f"cover_t{task.id}", row, ">=", 1.0))
 
     # exactly one depot and one terminal node per vehicle
@@ -174,12 +153,6 @@ def export_milp(roadmap: Roadmap) -> MilpModel:
             constraints.append((f"choose_{tag}_v{veh.id}", row, "=", 1.0))
 
     # degree rows for the open depot-to-terminal topology
-    out_of: dict[int, dict[str, float]] = {}
-    into: dict[int, dict[str, float]] = {}
-    for veh in inst.vehicles:
-        for a, b, _, x in edges[veh.id]:
-            out_of.setdefault(a, {})[x] = 1.0
-            into.setdefault(b, {})[x] = 1.0
     for s in roadmap.nodes:
         if s.cluster != TERMINAL:
             row = dict(out_of.get(s.id, {}))
@@ -195,11 +168,10 @@ def export_milp(roadmap: Roadmap) -> MilpModel:
 
 @dataclass
 class RelaxedSolution:
-    """An integral candidate: chosen nodes, edges and crossing indicators."""
+    """An integral candidate: chosen nodes and edges."""
 
     y: dict[int, int]
     x: dict[tuple[int, int], int]
-    y_nin: dict[tuple[int, int], int]
 
     @staticmethod
     def from_tourset(tourset: TourSet, roadmap: Roadmap) -> "RelaxedSolution":
@@ -210,18 +182,12 @@ class RelaxedSolution:
                 y[nid] = 1
             for a, b in zip(tour, tour[1:]):
                 x[(a, b)] = 1
-        y_nin = {}
-        for t, nodes in roadmap.nin_task_to_nodes.items():
-            for s in nodes:
-                y_nin[(t, s)] = y[s]
-        return RelaxedSolution(y, x, y_nin)
+        return RelaxedSolution(y, x)
 
     def as_var_values(self, roadmap: Roadmap, z: float | None = None) -> dict[str, float]:
         values = {_yvar(s): float(v) for s, v in self.y.items()}
         for (a, b), v in self.x.items():
             values[_xvar(a, b)] = float(v)
-        for (t, s), v in self.y_nin.items():
-            values[_ninvar(t, s)] = float(v)
         if z is not None:
             values["z"] = z
         return values
@@ -231,7 +197,7 @@ def find_subtours(relaxed: RelaxedSolution, roadmap: Roadmap) -> list[tuple[int,
     """Separation pass over an integral candidate.
 
     Walks each vehicle's chain from its chosen depot node, ticking off the
-    tasks it visits and the tasks those nodes necessarily cross.  If tasks
+    tasks it visits and the tasks its chosen nodes necessarily cross.  If tasks
     remain, every closed x-path through a remaining task is returned; an
     empty list certifies the candidate connected and covering.
     """
@@ -270,9 +236,8 @@ def find_subtours(relaxed: RelaxedSolution, roadmap: Roadmap) -> list[tuple[int,
             if cluster == TERMINAL:
                 break
             unvisited.discard(cluster)
-            for t in roadmap.nin_node_to_tasks[cur]:
-                if relaxed.y_nin.get((t, cur), 0) == 1:
-                    unvisited.discard(t)
+            if relaxed.y.get(cur) == 1:
+                unvisited.difference_update(roadmap.nin_node_to_tasks[cur])
 
     if not unvisited:
         return []
@@ -306,20 +271,11 @@ def subtour_cut_rows(subtours, roadmap: Roadmap) -> list[tuple[str, dict[str, fl
     rows = []
     for cycle in subtours:
         cyc = set(cycle)
-        veh = roadmap.node_by_id[cycle[0]].vehicle
-        locals_ = [s for s in roadmap.nodes if s.vehicle == veh]
-        mat = roadmap.cost[veh]
+        across = [(a, b, x) for a, b, _, x
+                   in _vehicle_edges(roadmap, roadmap.node_by_id[cycle[0]].vehicle)
+                   if (a in cyc) != (b in cyc)]
         for s in cycle:
-            row: dict[str, float] = {}
-            li = roadmap.local_index[s]
-            for other in locals_:
-                if other.id in cyc:
-                    continue
-                lo = roadmap.local_index[other.id]
-                if math.isfinite(mat[lo, li]):
-                    row[_xvar(other.id, s)] = 1.0
-                if math.isfinite(mat[li, lo]):
-                    row[_xvar(s, other.id)] = 1.0
+            row = {x: 1.0 for a, b, x in across if s in (a, b)}
             row[_yvar(s)] = -2.0
             rows.append((f"cut_{'_'.join(map(str, cycle))}_s{s}", row, ">=", 0.0))
     return rows

@@ -256,22 +256,19 @@ def build_instance(
     samples_per_cluster: int = DEFAULT_SAMPLES_PER_CLUSTER,
     alpha: float = DEFAULT_ALPHA,
     velocity: float | list[float] = DEFAULT_VELOCITY,
-    load_factor: float | list[float] = DEFAULT_LOAD_FACTOR,
     sensing_range: float | list[float] = DEFAULT_SENSING_RANGE,
-    task_radius: float | None = None,
     cost_metric: str = "length",
     nin_enabled: bool = True,
     depots: list[tuple[float, float]] | None = None,
-    terminals: list[tuple[float, float]] | None = None,
-    gravity: float = GRAVITY_DEFAULT,
     seed: int = 0,
 ) -> Instance:
     """Assemble a validated :class:`Instance` from defaults plus overrides.
 
     Task centers default to the bundled bays29 point set.  Depots are taken
-    in order from the default list; each terminal coincides with its depot
-    unless overridden, which closes the tours.  Scalar vehicle parameters
-    broadcast across the fleet.
+    in order from the default list; each terminal coincides with its depot,
+    which closes the tours.  Scalar vehicle parameters broadcast across the
+    fleet.  Every vehicle has the default load factor and gravity, and every
+    task disk the first vehicle's sensing range.
     """
     if task_centers is None:
         task_centers = builtin_task_centers()
@@ -285,7 +282,6 @@ def build_instance(
         return vals
 
     velocities = per_vehicle(velocity, "velocity")
-    load_factors = per_vehicle(load_factor, "load_factor")
     ranges = per_vehicle(sensing_range, "sensing_range")
 
     if depots is None:
@@ -294,24 +290,19 @@ def build_instance(
                 f"only {len(DEFAULT_DEPOTS)} default depots available; pass depots explicitly"
             )
         depots = [DEFAULT_DEPOTS[k] for k in range(n_vehicles)]
-    if terminals is None:
-        terminals = list(depots)
-
-    if task_radius is None:
-        task_radius = ranges[0]
+    ends = [(float(x), float(y)) for x, y in depots]
 
     tasks = tuple(
-        Task(id=i + 1, center=(float(x), float(y)), radius=float(task_radius))
+        Task(id=i + 1, center=(float(x), float(y)), radius=ranges[0])
         for i, (x, y) in enumerate(task_centers)
     )
     vehicles = tuple(
         VehicleSpec(
             id=k + 1,
             velocity=velocities[k],
-            load_factor=load_factors[k],
-            gravity=gravity,
-            depot=(float(depots[k][0]), float(depots[k][1])),
-            terminal=(float(terminals[k][0]), float(terminals[k][1])),
+            load_factor=DEFAULT_LOAD_FACTOR,
+            depot=ends[k],
+            terminal=ends[k],
             sensing_range=ranges[k],
         )
         for k in range(n_vehicles)

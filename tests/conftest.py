@@ -125,7 +125,6 @@ def pruning_example():
         velocity=FIG4_VELOCITY,
         depots=[(-200.0, 0.0), (1080.0, 0.0)],
         sensing_range=FIG4_RANGE,
-        task_radius=FIG4_RANGE,
         seed=4,
     )
     headings = {

@@ -238,7 +238,7 @@ class TestAcceptance:
                 for a, b in zip(ids, ids[1:] + ids[:1]):
                     x[(a, b)] = 1
                 planted.append(frozenset(ids))
-            sol = RelaxedSolution(y, x, {})
+            sol = RelaxedSolution(y, x)
             got = {frozenset(c) for c in find_subtours(sol, rm)}
             if got == set(planted):
                 found_all += 1

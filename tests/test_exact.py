@@ -31,10 +31,9 @@ class TestExportMilp:
         model = export_milp(rm)
         ys = [v for v in model.binaries if v.startswith("y_")]
         xs = [v for v in model.binaries if v.startswith("x_")]
-        nins = [v for v in model.binaries if v.startswith("ynin_")]
         assert len(ys) == 4          # depot, terminal, two task nodes
         assert len(xs) == 7          # d->t1, d->t2, d->T, t1<->t2, t1->T, t2->T
-        assert nins == []
+        assert len(model.binaries) == len(ys) + len(xs)
         assert model.continuous == ["z"]
 
     def test_alpha_one_zeroes_z_coefficient(self, no_nin_pair):
@@ -91,9 +90,7 @@ class TestFindSubtours:
         for nid in (depot, term, n1, n2, n3):
             y[nid] = 1
         x = {(depot, n1): 1, (n1, term): 1, (n2, n3): 1, (n3, n2): 1}
-        y_nin = {(t, s): (1 if y[s] else 0) for t, nodes in rm.nin_task_to_nodes.items()
-                 for s in nodes}
-        return RelaxedSolution(y, x, y_nin), (n2, n3)
+        return RelaxedSolution(y, x), (n2, n3)
 
     @pytest.fixture()
     def triangle(self):
@@ -108,25 +105,25 @@ class TestFindSubtours:
         assert len(found) == 1
         assert set(found[0]) == set(cycle)
 
-    def test_nin_covered_task_not_reported(self):
-        """A task crossed by a visited node drops out of the unvisited set."""
-        inst = build_instance([(800.0, 0.0), (840.0, 30.0)], n_vehicles=1,
-                              samples_per_cluster=1, velocity=50,
-                              depots=[(0.0, 0.0)], seed=29)
-        rm = build_roadmap(inst)
-        crossing = [s for s in rm.nodes if rm.nin_node_to_tasks[s.id]]
-        if not crossing:
-            pytest.skip("seeded sample produced no crossing; geometry fixtures cover this")
-        node = crossing[0]
-        depot = rm.node(1, DEPOT, 1).id
-        term = rm.node(1, TERMINAL, 1).id
+    def test_nin_covered_task_not_reported(self, pruning_example):
+        """Tasks crossed by a chosen walked node drop out of the unvisited set,
+        so an off-walk cycle over them is not reported."""
+        _, rm, _ = pruning_example
+        n1, n4 = rm.node(1, 1, 1).id, rm.node(2, 4, 1).id
+        assert (n1, n4) == (2, 12)
+        assert rm.nin_node_to_tasks[n1] == {2, 3} and rm.nin_node_to_tasks[n4] == {5}
         y = {s.id: 0 for s in rm.nodes}
-        for nid in (depot, term, node.id):
-            y[nid] = 1
-        x = {(depot, node.id): 1, (node.id, term): 1}
-        y_nin = {(t, s): (1 if y[s] else 0) for t, nodes in rm.nin_task_to_nodes.items()
-                 for s in nodes}
-        assert find_subtours(RelaxedSolution(y, x, y_nin), rm) == []
+        x = {}
+        for veh, nid in ((1, n1), (2, n4)):
+            depot, term = rm.node(veh, DEPOT, 1).id, rm.node(veh, TERMINAL, 1).id
+            for s in (depot, nid, term):
+                y[s] = 1
+            x[(depot, nid)] = x[(nid, term)] = 1
+        assert find_subtours(RelaxedSolution(y, x), rm) == []
+        n2, n3 = rm.node(1, 2, 1).id, rm.node(1, 3, 1).id
+        y[n2] = y[n3] = 1
+        x[(n2, n3)] = x[(n3, n2)] = 1
+        assert find_subtours(RelaxedSolution(y, x), rm) == []
 
     def test_degree_violation_detected(self, triangle):
         sol, _ = self._planted(triangle)

@@ -120,10 +120,18 @@ def _build_with(field, bad):
     centers, kw = list(THREE_TASKS), {"depots": [(200.0, 200.0)]}
     if field == "task_center":
         centers[1] = (bad, 0.0)
-    elif field in ("depot", "terminal"):
-        kw[field + "s"] = [(200.0, bad)]
-    else:
+    elif field == "depot":
+        kw["depots"] = [(200.0, bad)]
+    elif field in ("velocity", "sensing_range"):
         kw[field] = bad
+    else:  # build_instance fixes these; replace them in the instance it builds
+        inst = build_instance(centers, **kw)
+        if field == "task_radius":
+            task = dataclasses.replace(inst.tasks[1], radius=bad)
+            return dataclasses.replace(inst, tasks=(inst.tasks[0], task, inst.tasks[2]))
+        value = (200.0, bad) if field == "terminal" else bad
+        return dataclasses.replace(inst, vehicles=(
+            dataclasses.replace(inst.vehicles[0], **{field: value}),))
     return build_instance(centers, **kw)
 
 

@@ -1,0 +1,97 @@
+"""The exported integer program, solved with HiGHS (``scipy.optimize.milp``).
+
+The export holds no subtour rows, so it is a relaxation of the problem the
+oracle solves: its optimum may sit below the oracle's, never above it.
+``OPTIMA`` pins that optimum on ``random_tiny_instance`` keys 0-19 with
+crossings on and off, so a change to the model that moves it fails here.
+"""
+
+import numpy as np
+import pytest
+
+from ghmdatsp.exact import export_milp, solve_bruteforce
+from ghmdatsp.roadmap import build_roadmap
+
+from conftest import random_tiny_instance
+
+optimize = pytest.importorskip("scipy.optimize")
+
+#: (key, crossings on) -> HiGHS optimum of the export, no cut rows
+OPTIMA = {
+    (0, True): 2292.009144947402,
+    (0, False): 2292.009144947402,
+    (1, True): 2701.9380421898504,
+    (1, False): 2701.9380421898504,
+    (2, True): 2198.595046560574,
+    (2, False): 2198.595046560574,
+    (3, True): 1316.2425632853242,
+    (3, False): 1316.2425632853242,
+    (4, True): 3296.705829520545,
+    (4, False): 3296.705829520545,
+    (5, True): 1047.0981096174269,
+    (5, False): 1152.2615999350542,
+    (6, True): 2735.8777464632967,
+    (6, False): 2735.8777464632967,
+    (7, True): 2431.998092803483,
+    (7, False): 2431.998092803483,
+    (8, True): 1945.0924134583727,
+    (8, False): 1945.0924134583727,
+    (9, True): 3009.005197444299,
+    (9, False): 3009.005197444299,
+    (10, True): 3333.2770471210047,
+    (10, False): 3362.361720078408,
+    (11, True): 1285.671032991451,
+    (11, False): 1285.671032991451,
+    (12, True): 2350.0159822643705,
+    (12, False): 2562.912633439251,
+    (13, True): 1495.9064606790294,
+    (13, False): 1495.9064606790296,
+    (14, True): 2860.9149586578264,
+    (14, False): 2860.9149586578264,
+    (15, True): 1688.8444476111417,
+    (15, False): 1688.8444476111417,
+    (16, True): 1363.375646552926,
+    (16, False): 1363.3756465529245,
+    (17, True): 1263.784625077066,
+    (17, False): 1263.784625077066,
+    (18, True): 1375.6095280409247,
+    (18, False): 1375.6095280409245,
+    (19, True): 1951.5248971114524,
+    (19, False): 1951.5248971114524,
+}
+
+
+def solve_export(model):
+    """HiGHS's result on ``model``: binaries integral in [0, 1], z >= 0."""
+    names = model.variables()
+    binaries = set(model.binaries)
+    col = {v: i for i, v in enumerate(names)}
+    c = np.zeros(len(names))
+    for v, coef in model.objective.items():
+        c[col[v]] = coef
+    a = np.zeros((len(model.constraints), len(names)))
+    lb = np.full(len(model.constraints), -np.inf)
+    ub = np.full(len(model.constraints), np.inf)
+    for i, (_, coeffs, sense, rhs) in enumerate(model.constraints):
+        for v, coef in coeffs.items():
+            a[i, col[v]] = coef
+        if sense in ("=", ">="):
+            lb[i] = rhs
+        if sense in ("=", "<="):
+            ub[i] = rhs
+    binary = np.array([v in binaries for v in names])
+    return optimize.milp(c, constraints=optimize.LinearConstraint(a, lb, ub),
+                         integrality=binary.astype(int),
+                         bounds=optimize.Bounds(np.zeros(len(names)),
+                                                np.where(binary, 1.0, np.inf)),
+                         options={"mip_rel_gap": 0.0})
+
+
+@pytest.mark.parametrize("nin", [True, False], ids=["nin", "nonin"])
+@pytest.mark.parametrize("key", range(20))
+def test_export_optimum_pinned_and_below_oracle(key, nin):
+    rm = build_roadmap(random_tiny_instance(key, nin=nin))
+    res = solve_export(export_milp(rm))
+    assert res.status == 0
+    assert res.fun == pytest.approx(OPTIMA[(key, nin)], rel=1e-7, abs=0.0)
+    assert res.fun <= solve_bruteforce(rm).objective * (1.0 + 1e-9)
