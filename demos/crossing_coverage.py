@@ -1,13 +1,15 @@
 """Why crossing neighbourhoods shrink tours.
 
 Two tasks sit close enough that any bounded-turn maneuver through the
-first task's sample also sweeps the second task's disk.  The decoder
-notices and deletes the second node from the tour; the brute-force
+first task's sample also sweeps the second task's disk.  With crossings
+on, the decoder notices and deletes the second node from the tour; the
+same roadmap with crossings off keeps both nodes, and the brute-force
 reference confirms the shortened tour is optimal.
 """
 
-from ghmdatsp import (Chromosome, build_instance, build_roadmap, decode,
-                      decode_nin, solve_bruteforce)
+from dataclasses import replace
+
+from ghmdatsp import Chromosome, build_instance, build_roadmap, decode, solve_bruteforce
 
 instance = build_instance(
     [(600.0, 0.0), (680.0, 40.0)],
@@ -19,6 +21,8 @@ instance = build_instance(
     seed=13,
 )
 roadmap = build_roadmap(instance)
+# the same samples and costs, with no crossing tables: decoding prunes nothing
+uncrossed = build_roadmap(replace(instance, nin_enabled=False))
 
 for node_id, crossed in roadmap.nin_node_to_tasks.items():
     if crossed:
@@ -27,8 +31,8 @@ for node_id, crossed in roadmap.nin_node_to_tasks.items():
 
 # one vehicle: depot, task 1 then task 2 (sample 1 each), terminal
 chrom = Chromosome(genes=[1, 2], samples=[0, 1, 1])
-plain = decode(chrom, roadmap)
-reduced = decode_nin(chrom, roadmap)
+plain = decode(chrom, uncrossed)
+reduced = decode(chrom, roadmap)
 print(f"visit both nodes: cost {plain.objective:.1f}")
 print(f"after pruning:    cost {reduced.objective:.1f} "
       f"({len(reduced.deleted)} node(s) dropped)")

@@ -12,7 +12,7 @@ from .geometry import (Config, Disk, DubinsPath, dubins_lengths, dubins_shortest
 from .instance import (Instance, Task, VehicleSpec, build_instance, builtin_task_centers,
                        load_tsplib, turn_radius)
 from .memetic import (Chromosome, Evaluator, MAParams, MAResult, TourSet,
-                      crossover, decode, decode_nin, evaluate, improve,
+                      crossover, decode, evaluate, improve,
                       init_population, run, select)
 from .roadmap import (DEPOT, TERMINAL, Roadmap, SampleNode, build_cost_matrix,
                       build_nin_tables, build_roadmap, generate_samples)
@@ -29,7 +29,7 @@ __all__ = [
     "DEPOT", "TERMINAL", "Roadmap", "SampleNode", "build_cost_matrix",
     "build_nin_tables", "build_roadmap", "generate_samples",
     "Chromosome", "Evaluator", "MAParams", "MAResult", "TourSet",
-    "crossover", "decode", "decode_nin", "evaluate", "improve",
+    "crossover", "decode", "evaluate", "improve",
     "init_population", "run", "select",
     "ChainState", "RefineParams", "RefineResult", "WaypointChain",
     "build_chain", "refine",

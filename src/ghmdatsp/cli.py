@@ -335,8 +335,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (exact.SizeLimitError, exact.MalformedSolutionError,
-            RefineError, ValueError, OSError) as exc:
+    except (exact.SizeLimitError, RefineError, ValueError, OSError) as exc:
         print(f"solve error: {exc}", file=sys.stderr)
         return EXIT_SOLVE
 

@@ -281,11 +281,6 @@ def subtour_cut_rows(subtours, roadmap: Roadmap) -> list[tuple[str, dict[str, fl
     return rows
 
 
-def cut_rows_text(rows) -> str:
-    """One Eq-style cut row per line, ready to append to a model by hand."""
-    return "".join(_lp_row(row) + "\n" for row in rows)
-
-
 # ---------------------------------------------------------------------------
 # Brute force
 

@@ -272,6 +272,8 @@ def build_instance(
     """
     if task_centers is None:
         task_centers = builtin_task_centers()
+    if n_vehicles < 1:
+        raise InstanceError("at least one vehicle is required")
 
     def per_vehicle(value, name):
         if isinstance(value, (int, float)):
@@ -291,6 +293,8 @@ def build_instance(
             )
         depots = [DEFAULT_DEPOTS[k] for k in range(n_vehicles)]
     ends = [(float(x), float(y)) for x, y in depots]
+    if len(ends) != n_vehicles:
+        raise InstanceError(f"depots: expected {n_vehicles} values, got {len(ends)}")
 
     tasks = tuple(
         Task(id=i + 1, center=(float(x), float(y)), radius=ranges[0])

@@ -4,8 +4,8 @@ A chromosome holds each choice once, in two fields.  ``genes`` is the
 gene string: n task cluster ids and m-1 delimiters, written ``0``, that
 split it into one segment per vehicle.  ``samples[c]`` is task cluster
 c's 1-based sample.  Decoding yields one tour per vehicle, from its one
-depot node through its segment to its one terminal node; the NIN-aware
-variant then prunes nodes whose tasks are already crossed by the
+depot node through its segment to its one terminal node; with crossings
+on, it then prunes nodes whose tasks are already crossed by the
 remaining tour.
 
 The generational loop is elitist with roulette selection, parameterized
@@ -107,9 +107,9 @@ def evaluate(per_vehicle_cost, alpha: float, m: int | None = None) -> float:
     return alpha * (sum(costs) / m) + (1.0 - alpha) * max(costs)
 
 
-def _decode(chrom: Chromosome, roadmap: Roadmap, prune: bool) -> TourSet:
-    """Split into node-id tours per vehicle, prune if asked, then cost
-    (hot path, no validation)."""
+def _decode(chrom: Chromosome, roadmap: Roadmap) -> TourSet:
+    """Split into node-id tours per vehicle, prune when the instance has
+    crossings on, then cost (hot path, no validation)."""
     ids_by_veh = roadmap.ids_by_vehicle
     genes, samples = chrom.genes, chrom.samples
     tours = []
@@ -120,32 +120,31 @@ def _decode(chrom: Chromosome, roadmap: Roadmap, prune: bool) -> TourSet:
             tour.append(ids[c][samples[c] - 1])
         tour.append(ids[TERMINAL][0])
         tours.append(tour)
-    deleted = ()
-    if prune:
-        tours, deleted = _nin_reduce(tours, roadmap)
+    # with crossings off every crossing set is empty and the pass would delete nothing
+    deleted = _nin_reduce(tours, roadmap) if roadmap.instance.nin_enabled else ()
     return TourSet.from_tours(tours, roadmap, deleted)
 
 
 def decode(chrom: Chromosome, roadmap: Roadmap) -> TourSet:
-    """Split the chromosome into per-vehicle tours and cost them."""
-    validate_chromosome(chrom, roadmap)
-    return _decode(chrom, roadmap, False)
-
-
-def decode_nin(chrom: Chromosome, roadmap: Roadmap) -> TourSet:
-    """Decode, then prune nodes whose tasks stay covered without them.
+    """Split the chromosome into per-vehicle tours, prune nodes whose tasks
+    stay covered without them, and cost the tours.
 
     Every task starts with one basket credit (its own node is always in
     the tour) plus one per tour node that necessarily crosses it.  Nodes
     are deleted greedily: always the node of the fullest-basket task,
     breaking ties toward the node crossing the fewest other tasks, and
-    stopping as soon as the chosen deletion would empty any basket.
+    stopping as soon as the chosen deletion would empty any basket.  With
+    crossings off nothing is crossed, so nothing is pruned; the unpruned
+    tours of a crossings-on instance come from its crossings-off twin,
+    ``build_roadmap(replace(instance, nin_enabled=False))``, which has the
+    same samples and costs.
     """
     validate_chromosome(chrom, roadmap)
-    return _decode(chrom, roadmap, True)
+    return _decode(chrom, roadmap)
 
 
-def _nin_reduce(tours: list[list[int]], roadmap: Roadmap):
+def _nin_reduce(tours: list[list[int]], roadmap: Roadmap) -> list[int]:
+    """Prune ``tours`` in place; return the deleted node ids in order."""
     nin_of = roadmap.nin_node_to_tasks
     node_by_id = roadmap.node_by_id
     veh_ids = roadmap.vehicle_ids
@@ -156,7 +155,6 @@ def _nin_reduce(tours: list[list[int]], roadmap: Roadmap):
             holder[node_by_id[nid].cluster] = (vi, nid)
             for t in nin_of[nid]:
                 basket[t] += 1
-    tours = [list(t) for t in tours]
     deleted: list[int] = []
 
     def detour_saving(t):
@@ -197,7 +195,7 @@ def _nin_reduce(tours: list[list[int]], roadmap: Roadmap):
         tours[vi].remove(nid)
         del holder[t_del]
         deleted.append(nid)
-    return tours, deleted
+    return deleted
 
 
 class Evaluator:
@@ -213,7 +211,7 @@ class Evaluator:
         """Decode, pruning exactly when the instance has crossings on."""
         if chrom.cached_tours is None:
             self.evaluations += 1
-            chrom.cached_tours = _decode(chrom, self.roadmap, self.roadmap.instance.nin_enabled)
+            chrom.cached_tours = _decode(chrom, self.roadmap)
         return chrom.cached_tours
 
     def cost(self, chrom: Chromosome) -> float:
@@ -325,7 +323,8 @@ def task_swap(chrom: Chromosome, i: int, j: int, ev: Evaluator) -> Chromosome:
 
 
 def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
-    """Left-to-right scan replacing each task gene's sample when profitable.
+    """Left-to-right scan of each decoded tour, replacing each task node's
+    sample when profitable; pruned nodes travel nowhere and are not scanned.
 
     A cheaper sample in the same cluster is accepted only if every task
     crossed by the old node and not by the new one stays covered by some
@@ -343,29 +342,23 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
 
     tours = [list(t) for t in ts.tours]
     cover = {t.id: 0 for t in rm.instance.tasks}
-    pos_of: dict[int, tuple[int, int]] = {}
-    for vi, tour in enumerate(tours):
-        for p, nid in enumerate(tour[1:-1], start=1):
-            pos_of[nid] = (vi, p)
+    for tour in tours:
+        for nid in tour[1:-1]:
             cover[node_by_id[nid].cluster] += 1
             for t in nin_of[nid]:
                 cover[t] += 1
 
-    genes = chrom.genes
     samples = list(chrom.samples)
     changed = False
-    for vi, positions in enumerate(_vehicle_task_positions(chrom)):
-        veh = veh_ids[vi]
+    # a decoded tour holds its vehicle's unpruned task nodes in gene order
+    for veh, tour in zip(veh_ids, tours):
         cmat = cost_lists[veh]
-        for c in map(genes.__getitem__, positions):
+        for tp in range(1, len(tour) - 1):
+            cur = tour[tp]
+            c = node_by_id[cur].cluster
             ids = cluster_ids[(veh, c)]
             if len(ids) < 2:
                 continue
-            cur = ids[samples[c] - 1]
-            if cur not in pos_of:
-                continue  # pruned from the tour; no travel cost to improve
-            tvi, tp = pos_of[cur]
-            tour = tours[tvi]
             prev_l = local[tour[tp - 1]]
             next_l = local[tour[tp + 1]]
             cur_l = local[cur]
@@ -386,8 +379,6 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
                 continue
             samples[c] = best_idx
             tour[tp] = best_nid
-            del pos_of[cur]
-            pos_of[best_nid] = (tvi, tp)
             for u in nin_of[cur]:
                 cover[u] -= 1
             for u in nin_of[best_nid]:
@@ -395,7 +386,7 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
             changed = True
     if not changed:
         return chrom
-    return _keep_if_cheaper(Chromosome(genes, samples), chrom, ev)
+    return _keep_if_cheaper(Chromosome(chrom.genes, samples), chrom, ev)
 
 
 #: Local-search operators, in the order their tallies are kept.
@@ -541,14 +532,6 @@ def _two_opt_cycle(order: list[int], depot, centers) -> list[int]:
     return [order[i - 1] for i in idx[1:]]
 
 
-def voronoi_chromosome(roadmap: Roadmap, rng: random.Random,
-                       orders: list[list[int]] | None = None) -> Chromosome:
-    """Depot-partitioned seeding with random sample indices."""
-    if orders is None:
-        orders = _voronoi_orders(roadmap)
-    return _chromosome_from_orders(roadmap, rng, orders)
-
-
 def _chromosome_from_orders(roadmap: Roadmap, rng: random.Random,
                             orders: list[list[int]]) -> Chromosome:
     """Genes for per-vehicle task orders; task samples are drawn at random,
@@ -580,7 +563,7 @@ def init_population(roadmap: Roadmap, params: MAParams, rng: random.Random,
         if i < n_random:
             chrom = random_chromosome(roadmap, rng)
         else:
-            chrom = voronoi_chromosome(roadmap, rng, orders)
+            chrom = _chromosome_from_orders(roadmap, rng, orders)
         if not _out_of_time(params, t0):
             chrom = improve(chrom, "I", params, ev, rng, stats)
         pop.append(chrom)
@@ -729,7 +712,7 @@ def run(roadmap: Roadmap, params: MAParams) -> MAResult:
     def immigrant() -> Chromosome:
         if rng.random() < 0.5:
             return random_chromosome(roadmap, rng)
-        return voronoi_chromosome(roadmap, rng, orders)
+        return _chromosome_from_orders(roadmap, rng, orders)
 
     def polished(chrom: Chromosome, threshold: float) -> Chromosome:
         level = "II" if ev.cost(chrom) <= threshold else "I"

@@ -198,7 +198,7 @@ def minimize(fun, simplex):
         return best, cost
 
 
-def _optimize_state(chain: WaypointChain, idx: int, veh: VehicleSpec, metric: str) -> bool:
+def _optimize_state(chain: WaypointChain, idx: int, veh: VehicleSpec, metric: str) -> None:
     """Minimize the legs touching state ``idx``; accept only strict gains."""
     states = chain.states
     state = states[idx]
@@ -231,8 +231,6 @@ def _optimize_state(chain: WaypointChain, idx: int, veh: VehicleSpec, metric: st
 
     if best_cfg is not cur_cfg:
         states[idx] = replace(state, config=best_cfg)
-        return True
-    return False
 
 
 def refine(chains: list[WaypointChain], vehicles: list[VehicleSpec],

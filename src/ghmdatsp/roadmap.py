@@ -111,13 +111,14 @@ def build_nin_tables(nodes: list[SampleNode], instance: Instance) -> dict[int, s
     For a task-cluster node s of vehicle k, task t != cluster(s) lands in
     the node's set exactly when both turning circles at s (radius r_min of
     k) intersect the disk around t with vehicle k's sensing range.
-    Depot/terminal nodes get empty sets.
+    Depot/terminal nodes get empty sets, and so does every node when the
+    instance has crossings off.
     """
     node_to_tasks: dict[int, set[int]] = {}
     specs = {v.id: v for v in instance.vehicles}
     for s in nodes:
         covered: set[int] = set()
-        if s.cluster > 0:
+        if s.cluster > 0 and instance.nin_enabled:
             veh = specs[s.vehicle]
             for task in instance.tasks:
                 if (task.id != s.cluster
@@ -208,6 +209,4 @@ def build_roadmap(instance: Instance) -> Roadmap:
     """Generate samples, costs and NIN tables for ``instance``."""
     nodes = generate_samples(instance)
     cost = build_cost_matrix(nodes, instance)
-    nin = (build_nin_tables(nodes, instance) if instance.nin_enabled
-           else {s.id: set() for s in nodes})
-    return Roadmap(instance, nodes, cost, nin)
+    return Roadmap(instance, nodes, cost, build_nin_tables(nodes, instance))

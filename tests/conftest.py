@@ -11,12 +11,10 @@ from ghmdatsp.memetic import Chromosome
 from ghmdatsp.roadmap import DEPOT, TERMINAL, Roadmap, SampleNode, build_cost_matrix, build_nin_tables
 
 
-def manual_roadmap(instance: Instance, nodes: list[SampleNode], with_nin: bool = True) -> Roadmap:
+def manual_roadmap(instance: Instance, nodes: list[SampleNode]) -> Roadmap:
     """Assemble a roadmap from explicitly placed sample nodes."""
-    cost = build_cost_matrix(nodes, instance)
-    nin = (build_nin_tables(nodes, instance) if with_nin and instance.nin_enabled
-           else {s.id: set() for s in nodes})
-    return Roadmap(instance, nodes, cost, nin)
+    return Roadmap(instance, nodes, build_cost_matrix(nodes, instance),
+                   build_nin_tables(nodes, instance))
 
 
 def on_one_turning_circle(a: Config, b: Config, r_min: float, tol: float = 1e-6) -> bool:
@@ -94,7 +92,7 @@ def worked_example():
                            task.center[1] + rad * math.sin(ang),
                            rng.uniform(0, 2 * math.pi))))
                 nid += 1
-    rm = manual_roadmap(inst, nodes, with_nin=False)
+    rm = manual_roadmap(inst, nodes)
     # vehicle 1: tasks 1..3 with samples 1, 3, 3; vehicle 2: tasks 4, 5
     # with samples 2, 1
     chrom = Chromosome(genes=[1, 2, 3, 0, 4, 5], samples=[0, 1, 3, 3, 2, 1])

@@ -14,7 +14,7 @@ import time
 from ghmdatsp.exact import RelaxedSolution, find_subtours, solve_bruteforce
 from ghmdatsp.geometry import Config, Disk, dubins_shortest_path, nin_check, norm_angle
 from ghmdatsp.instance import build_instance, turn_radius
-from ghmdatsp.memetic import (Evaluator, MAParams, decode, decode_nin,
+from ghmdatsp.memetic import (Evaluator, MAParams, decode,
                               random_chromosome, run, sample_swap,
                               validate_chromosome, _vehicle_task_positions)
 from ghmdatsp.memetic import global_2opt, local_2opt, task_swap
@@ -108,7 +108,7 @@ class TestAcceptance:
                      and labels[1] == [(-1, 1), (4, 2), (5, 1), (-2, 1)])
 
         _, rm4, chrom4 = pruning_example
-        ts4 = decode_nin(chrom4, rm4)
+        ts4 = decode(chrom4, rm4)
         order = [(rm4.node_by_id[n].vehicle, rm4.node_by_id[n].cluster) for n in ts4.deleted]
         trace_ok = order == [(1, 2), (2, 5), (1, 3)]
         visited, crossed = set(), set()

@@ -84,8 +84,9 @@ class TestGenerate:
 
     @pytest.mark.parametrize("option", [
         ["--samples", "0"], ["--alpha", "2"], ["--vehicles", "5"], ["--velocity", "-1"],
-        ["--builtin", "nope"],
-    ], ids=["samples", "alpha", "vehicles", "velocity", "builtin"])
+        ["--builtin", "nope"], ["--vehicles", "0"], ["--vehicles", "-1"],
+    ], ids=["samples", "alpha", "vehicles", "velocity", "builtin", "no-vehicles",
+            "negative-vehicles"])
     def test_bad_option_value_is_usage_error(self, tmp_path, capsys, option):
         out = tmp_path / "x.json"
         assert main(["generate", *option, "--out", str(out)]) == EXIT_USAGE

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghmdatsp.instance import build_instance
-from ghmdatsp.memetic import decode_nin, random_chromosome
+from ghmdatsp.memetic import decode, random_chromosome
 from ghmdatsp.refine import build_chain
 from ghmdatsp.roadmap import build_roadmap
 
@@ -27,6 +27,6 @@ def bays29_roadmap(velocity: float, n_vehicles: int):
 @settings(max_examples=30, deadline=None)
 def test_pruned_tours_enter_every_claimed_disk(velocity, n_vehicles, chrom_seed):
     rm = bays29_roadmap(velocity, n_vehicles)
-    ts = decode_nin(random_chromosome(rm, random.Random(chrom_seed)), rm)
+    ts = decode(random_chromosome(rm, random.Random(chrom_seed)), rm)
     assert coverage_ok(ts, rm)
     build_chain(ts, rm)  # raises RefineError when a claimed disk is never entered

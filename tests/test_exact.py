@@ -6,8 +6,7 @@ import random
 import pytest
 
 from ghmdatsp.exact import (MalformedSolutionError, RelaxedSolution, SizeLimitError,
-                            cut_rows_text, export_milp, find_subtours, solve_bruteforce,
-                            subtour_cut_rows)
+                            export_milp, find_subtours, solve_bruteforce, subtour_cut_rows)
 from ghmdatsp.geometry import Config
 from ghmdatsp.instance import build_instance
 from ghmdatsp.memetic import MAParams, run
@@ -137,8 +136,6 @@ class TestFindSubtours:
         found = find_subtours(sol, triangle)
         rows = subtour_cut_rows(found, triangle)
         assert len(rows) == len(cycle)
-        text = cut_rows_text(rows)
-        assert text.count(">=") == len(rows)
         for _name, coeffs, sense, rhs in rows:
             assert sense == ">=" and rhs == 0.0
             assert any(v.startswith("y_") and c == -2.0 for v, c in coeffs.items())
@@ -219,7 +216,7 @@ class TestBruteForce:
             SampleNode(3, 1, 1, 1, Config(500.0, 0.0, 0.0)),
         ]
         with pytest.raises(ValueError, match="vehicle 1: depot cluster holds 2 nodes"):
-            manual_roadmap(inst, nodes, with_nin=False)
+            manual_roadmap(inst, nodes)
 
     def test_oracle_below_memetic_on_tiny_instances(self):
         for key in (1, 4):

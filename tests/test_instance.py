@@ -76,6 +76,19 @@ class TestBuildInstance:
         inst = build_instance(n_vehicles=4)
         assert tuple(v.depot for v in inst.vehicles) == DEFAULT_DEPOTS
 
+    @pytest.mark.parametrize("n_vehicles,depots", [
+        (3, [(0.0, 0.0)]), (1, [(0.0, 0.0), (900.0, 0.0)]),
+    ], ids=["too-few", "too-many"])
+    def test_depot_count_must_match_vehicles(self, n_vehicles, depots):
+        with pytest.raises(InstanceError, match=f"depots: expected {n_vehicles} values, "
+                                                f"got {len(depots)}"):
+            build_instance([(500.0, 0.0)], n_vehicles=n_vehicles, depots=depots)
+
+    @pytest.mark.parametrize("n_vehicles", [0, -1])
+    def test_vehicle_count_must_be_positive(self, n_vehicles):
+        with pytest.raises(InstanceError, match="at least one vehicle is required"):
+            build_instance([(500.0, 0.0)], n_vehicles=n_vehicles)
+
     def test_same_seed_identical(self):
         a = build_instance(n_vehicles=2, seed=42)
         b = build_instance(n_vehicles=2, seed=42)

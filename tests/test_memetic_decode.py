@@ -1,13 +1,19 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from ghmdatsp.instance import build_instance
-from ghmdatsp.memetic import (Chromosome, ChromosomeError, Evaluator, decode, decode_nin,
+from ghmdatsp.memetic import (Chromosome, ChromosomeError, Evaluator, decode,
                               evaluate, random_chromosome, validate_chromosome)
 from ghmdatsp.roadmap import build_roadmap
 
 from conftest import coverage_ok, random_tiny_instance
+
+
+def crossings_off_twin(roadmap):
+    """The same samples and costs with crossings off: decode prunes nothing."""
+    return build_roadmap(replace(roadmap.instance, nin_enabled=False))
 
 
 def tour_labels(tourset, roadmap):
@@ -88,7 +94,7 @@ class TestDecodeNin:
         """The known two-vehicle configuration prunes task2's node, then
         task5's, then task3's, and stops with full coverage."""
         _, rm, chrom = pruning_example
-        ts = decode_nin(chrom, rm)
+        ts = decode(chrom, rm)
         deleted_labels = [(rm.node_by_id[n].vehicle, rm.node_by_id[n].cluster)
                           for n in ts.deleted]
         assert deleted_labels == [(1, 2), (2, 5), (1, 3)]
@@ -99,7 +105,7 @@ class TestDecodeNin:
 
     def test_every_basket_stays_positive(self, pruning_example):
         _, rm, chrom = pruning_example
-        ts = decode_nin(chrom, rm)
+        ts = decode(chrom, rm)
         visited, crossed = set(), set()
         for tour in ts.tours:
             for nid in tour[1:-1]:
@@ -116,10 +122,11 @@ class TestDecodeNin:
                               n_vehicles=1, samples_per_cluster=2, velocity=50,
                               depots=[(2500.0, 2500.0)], seed=8)
         rm = build_roadmap(inst)
+        twin = crossings_off_twin(rm)
         rng = random.Random(1)
         for _ in range(10):
             chrom = random_chromosome(rm, rng)
-            reduced, plain = decode_nin(chrom, rm), decode(chrom, rm)
+            reduced, plain = decode(chrom, rm), decode(chrom, twin)
             assert reduced.tours == plain.tours
             assert reduced.objective == pytest.approx(plain.objective)
             assert reduced.deleted == ()
@@ -128,7 +135,7 @@ class TestDecodeNin:
         """Second deletion: tasks 3 and 5 tie at basket 2; task5's node
         crosses nothing while task3's crosses one task, so task5 goes."""
         _, rm, chrom = pruning_example
-        ts = decode_nin(chrom, rm)
+        ts = decode(chrom, rm)
         second = rm.node_by_id[ts.deleted[1]]
         assert (second.vehicle, second.cluster) == (2, 5)
 
@@ -138,17 +145,31 @@ class TestDecodeNin:
             rm = build_roadmap(inst)
             rng = random.Random(key)
             for _ in range(20):
-                ts = decode_nin(random_chromosome(rm, rng), rm)
+                ts = decode(random_chromosome(rm, rng), rm)
                 assert coverage_ok(ts, rm)
 
     def test_reduced_cost_never_exceeds_full(self):
         for key in range(4):
             inst = random_tiny_instance(key)
             rm = build_roadmap(inst)
+            twin = crossings_off_twin(rm)
             rng = random.Random(key)
             for _ in range(20):
                 chrom = random_chromosome(rm, rng)
-                assert decode_nin(chrom, rm).objective <= decode(chrom, rm).objective + 1e-9
+                assert decode(chrom, rm).objective <= decode(chrom, twin).objective + 1e-9
+
+    @pytest.mark.parametrize("nin", [True, False], ids=["crossings", "no-crossings"])
+    def test_search_decodes_like_decode(self, nin):
+        """The search's cached decode and the public one agree on every
+        field; the crossings-off twin of each roadmap deletes nothing."""
+        for key in range(6):
+            rm = build_roadmap(random_tiny_instance(key, nin=nin))
+            twin = crossings_off_twin(rm)
+            rng = random.Random(key)
+            for _ in range(20):
+                chrom = random_chromosome(rm, rng)
+                assert Evaluator(rm).tours(chrom) == decode(chrom, rm)
+                assert decode(chrom, twin).deleted == ()
 
 
 class TestEvaluatorCache:

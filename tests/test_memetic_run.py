@@ -6,7 +6,7 @@ import pytest
 
 from ghmdatsp.instance import build_instance
 from ghmdatsp.memetic import (Evaluator, MAParams, init_population, run,
-                              voronoi_chromosome, _voronoi_orders)
+                              _chromosome_from_orders, _voronoi_orders)
 from ghmdatsp.roadmap import build_roadmap
 
 from conftest import coverage_ok, random_tiny_instance
@@ -49,7 +49,7 @@ class TestVoronoiSeeding:
 
     def test_voronoi_chromosome_valid(self, mid_instance):
         _, rm = mid_instance
-        chrom = voronoi_chromosome(rm, random.Random(0))
+        chrom = _chromosome_from_orders(rm, random.Random(0), _voronoi_orders(rm))
         from ghmdatsp.memetic import validate_chromosome
         validate_chromosome(chrom, rm)
 
@@ -121,11 +121,13 @@ class TestRun:
                               n_vehicles=1, samples_per_cluster=1, velocity=50,
                               depots=[(0.0, 0.0)], nin_enabled=False, seed=14)
         rm = build_roadmap(inst)
-        from ghmdatsp.memetic import decode, decode_nin, random_chromosome
+        from ghmdatsp.memetic import decode, random_chromosome
         rng = random.Random(14)
         for _ in range(10):
             chrom = random_chromosome(rm, rng)
-            assert decode_nin(chrom, rm).tours == decode(chrom, rm).tours
+            ts = decode(chrom, rm)
+            assert ts.deleted == ()
+            assert [rm.node_by_id[n].cluster for n in ts.tours[0][1:-1]] == list(chrom.genes)
 
     def test_history_json_export(self, mid_instance):
         _, rm = mid_instance

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ghmdatsp.geometry import Config, Disk, dubins_shortest_path, sample_path
 from ghmdatsp.instance import VehicleSpec, build_instance
-from ghmdatsp.memetic import MAParams, decode_nin, random_chromosome, run
+from ghmdatsp.memetic import MAParams, decode, random_chromosome, run
 from ghmdatsp.refine import (ENTRY_SPACING_FRACTION, ChainState, RefineError, RefineParams,
                              WaypointChain, build_chain, refine, refined_objective)
 from ghmdatsp.roadmap import build_roadmap
@@ -33,7 +33,7 @@ class TestBuildChain:
                               depots=[(2500.0, 2500.0)], seed=8)
         rm = build_roadmap(inst)
         from ghmdatsp.memetic import random_chromosome
-        ts = decode_nin(random_chromosome(rm, random.Random(0)), rm)
+        ts = decode(random_chromosome(rm, random.Random(0)), rm)
         chains = build_chain(ts, rm)
         assert len(chains) == 1
         assert [s.config for s in chains[0].states] == \
@@ -43,7 +43,7 @@ class TestBuildChain:
 
     def test_crossed_tasks_get_entry_states(self, pruning_example):
         inst, rm, chrom = pruning_example
-        ts = decode_nin(chrom, rm)
+        ts = decode(chrom, rm)
         chains = build_chain(ts, rm)
         direct = {rm.node_by_id[n].cluster for tour in ts.tours for n in tour[1:-1]}
         total_states = sum(len(c.states) for c in chains)
@@ -58,7 +58,7 @@ class TestBuildChain:
 
     def test_chain_keeps_visit_order(self, pruning_example):
         _, rm, chrom = pruning_example
-        ts = decode_nin(chrom, rm)
+        ts = decode(chrom, rm)
         chains = build_chain(ts, rm)
         # vehicle 1 keeps task 1 directly and crosses 2 and 3 on the way
         v1 = chains[0]
@@ -74,7 +74,7 @@ class TestBuildChain:
                               depots=[(0.0, 0.0)], seed=3)
         rm = build_roadmap(inst)
         from ghmdatsp.memetic import Chromosome
-        ts = decode_nin(Chromosome([1, 2], [0, 1, 1]), rm)
+        ts = decode(Chromosome([1, 2], [0, 1, 1]), rm)
         # forge a reduced tourset that drops task 2 without any crossing
         forged = ts.__class__(
             tours=((ts.tours[0][0], ts.tours[0][1], ts.tours[0][-1]),),
@@ -145,7 +145,7 @@ def expected_chains(ts, rm):
 @settings(max_examples=25, deadline=None)
 def test_crossed_tasks_go_to_first_entry(chrom_seed):
     rm = fleet_roadmap()
-    ts = decode_nin(random_chromosome(rm, random.Random(chrom_seed)), rm)
+    ts = decode(random_chromosome(rm, random.Random(chrom_seed)), rm)
     want = expected_chains(ts, rm)
     chains = build_chain(ts, rm)
     assert [c.vehicle_id for c in chains] == list(want)
@@ -203,7 +203,7 @@ class TestRefine:
 
     def test_sequence_preserved(self, pruning_example):
         inst, rm, chrom = pruning_example
-        ts = decode_nin(chrom, rm)
+        ts = decode(chrom, rm)
         chains = build_chain(ts, rm)
         def clusters(chain):
             return [s.cluster for s in chain.states if s.kind == "task"]
@@ -227,7 +227,7 @@ class TestRefine:
 
     def test_refined_objective_keeps_empty_vehicle_costs(self, pruning_example):
         inst, rm, chrom = pruning_example
-        ts = decode_nin(chrom, rm)
+        ts = decode(chrom, rm)
         chains = build_chain(ts, rm)
         res = refine(chains, list(inst.vehicles))
         obj = refined_objective(res, ts, inst.alpha, inst.n_vehicles)
@@ -252,11 +252,11 @@ import random, sys
 sys.modules["scipy"] = None  # any later "import scipy..." raises ImportError
 import ghmdatsp, ghmdatsp.cli
 from ghmdatsp import build_instance, builtin_task_centers, build_roadmap
-from ghmdatsp.memetic import decode_nin, random_chromosome
+from ghmdatsp.memetic import decode, random_chromosome
 from ghmdatsp.refine import RefineParams, build_chain, refine
 inst = build_instance(builtin_task_centers()[:8], samples_per_cluster=2, velocity=50.0, seed=1)
 rm = build_roadmap(inst)
-chains = build_chain(decode_nin(random_chromosome(rm, random.Random(1)), rm), rm)
+chains = build_chain(decode(random_chromosome(rm, random.Random(1)), rm), rm)
 res = refine(chains, list(inst.vehicles), RefineParams(max_sweeps=2))
 assert res.cost_trace[-1] < res.cost_trace[0], res.cost_trace
 """

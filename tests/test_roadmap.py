@@ -85,7 +85,7 @@ class TestCostMatrix:
             SampleNode(2, 1, 1, 1, Config(500, 0, 0)),
             SampleNode(3, 1, 2, 1, Config(1000, 0, 0)),
         ]
-        rm = manual_roadmap(inst, nodes, with_nin=False)
+        rm = manual_roadmap(inst, nodes)
         assert rm.edge_cost(1, 2, 3) == pytest.approx(500.0, abs=1e-9)
 
     def test_time_metric_divides_by_velocity(self):
@@ -98,7 +98,7 @@ class TestCostMatrix:
             SampleNode(2, 1, 1, 1, Config(500, 0, 0)),
             SampleNode(3, 1, 2, 1, Config(1000, 0, 0)),
         ]
-        rm = manual_roadmap(inst, nodes, with_nin=False)
+        rm = manual_roadmap(inst, nodes)
         assert rm.edge_cost(1, 2, 3) == pytest.approx(500.0 / 70.0, rel=1e-12)
 
     @pytest.mark.parametrize("metric", ["length", "time"])
