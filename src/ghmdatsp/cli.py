@@ -104,6 +104,7 @@ def tour_document(instance: Instance, roadmap: Roadmap, tourset: TourSet, method
     }
     if refine_result is not None:
         doc["refine_sweeps"] = refine_result.sweeps
+        doc["refine_stop_reason"] = refine_result.stop_reason
         doc["refine_cost_trace"] = refine_result.cost_trace
     return doc
 
@@ -186,15 +187,21 @@ def cmd_generate(args) -> int:
 def _run_ma(roadmap: Roadmap, params: MAParams, refine_best: bool):
     """Memetic search, then refinement of its best tours when asked.
 
+    ``params.time_limit_s`` bounds both: its clock starts with the search,
+    after the roadmap is built, and refinement gets what the search left.
     Returns the search result, the refinement result (None when not
     refined) and the objective of the final tours.
     """
+    t0 = time.monotonic()
     result = memetic.run(roadmap, params)
     if not refine_best:
         return result, None, result.best_cost
     inst = roadmap.instance
+    left = None
+    if params.time_limit_s is not None:
+        left = params.time_limit_s - (time.monotonic() - t0)
     refine_result = refine(build_chain(result.best, roadmap), list(inst.vehicles),
-                           cost_metric=inst.cost_metric)
+                           cost_metric=inst.cost_metric, time_limit_s=left)
     objective = refined_objective(refine_result, result.best, inst.alpha, inst.n_vehicles)
     return result, refine_result, objective
 

@@ -111,15 +111,20 @@ def _decode(chrom: Chromosome, roadmap: Roadmap) -> TourSet:
     """Split into node-id tours per vehicle, prune when the instance has
     crossings on, then cost (hot path, no validation)."""
     ids_by_veh = roadmap.ids_by_vehicle
-    genes, samples = chrom.genes, chrom.samples
-    tours = []
-    for veh, positions in zip(roadmap.vehicle_ids, _vehicle_task_positions(chrom)):
-        ids = ids_by_veh[veh]
-        tour = [ids[DEPOT][0]]
-        for c in map(genes.__getitem__, positions):
+    samples = chrom.samples
+    vehicles = iter(roadmap.vehicle_ids)
+    ids = ids_by_veh[next(vehicles)]
+    tour = [ids[DEPOT][0]]
+    tours = [tour]
+    for c in chrom.genes:
+        if c:
             tour.append(ids[c][samples[c] - 1])
-        tour.append(ids[TERMINAL][0])
-        tours.append(tour)
+        else:  # a delimiter ends this vehicle's tour and starts the next one's
+            tour.append(ids[TERMINAL][0])
+            ids = ids_by_veh[next(vehicles)]
+            tour = [ids[DEPOT][0]]
+            tours.append(tour)
+    tour.append(ids[TERMINAL][0])
     # with crossings off every crossing set is empty and the pass would delete nothing
     deleted = _nin_reduce(tours, roadmap) if roadmap.instance.nin_enabled else ()
     return TourSet.from_tours(tours, roadmap, deleted)
@@ -144,74 +149,96 @@ def decode(chrom: Chromosome, roadmap: Roadmap) -> TourSet:
 
 
 def _nin_reduce(tours: list[list[int]], roadmap: Roadmap) -> list[int]:
-    """Prune ``tours`` in place; return the deleted node ids in order."""
+    """Prune ``tours`` in place; return the deleted node ids in order.
+
+    A task whose basket is 1 can never be deleted, and baskets only fall,
+    so only tasks with fuller baskets are ranked, and a task leaves the
+    ranking once its basket reaches 1.  A node's detour saving is computed
+    once and kept until a deletion gives the node a new neighbour.
+    """
     nin_of = roadmap.nin_node_to_tasks
     node_by_id = roadmap.node_by_id
-    veh_ids = roadmap.vehicle_ids
-    basket = {t.id: 1 for t in roadmap.instance.tasks}
-    holder: dict[int, tuple[int, int]] = {}  # task -> (vehicle index, node id)
-    for vi, tour in enumerate(tours):
+    basket = [1] * (roadmap.n_tasks + 1)
+    for tour in tours:
         for nid in tour[1:-1]:
-            holder[node_by_id[nid].cluster] = (vi, nid)
             for t in nin_of[nid]:
                 basket[t] += 1
+    ranked: dict[int, tuple[int, int, set[int]]] = {}  # task -> (vehicle index, node, crossed)
+    for vi, tour in enumerate(tours):
+        for nid in tour[1:-1]:
+            t = node_by_id[nid].cluster
+            if basket[t] > 1:
+                ranked[t] = (vi, nid, nin_of[nid])
+    cost_rows = [roadmap.cost_lists[veh] for veh in roadmap.vehicle_ids]
+    local = roadmap.local_index
+    saving: dict[int, float] = {}  # node id -> detour saving on the current tour
     deleted: list[int] = []
 
-    def detour_saving(t):
-        vi, nid = holder[t]
-        tour = tours[vi]
-        p = tour.index(nid)
-        veh = veh_ids[vi]
-        return (roadmap.edge_cost(veh, tour[p - 1], nid)
-                + roadmap.edge_cost(veh, nid, tour[p + 1])
-                - roadmap.edge_cost(veh, tour[p - 1], tour[p + 1]))
-
-    while holder:
+    while ranked:
         best_basket = -1
         best_len = 0
         tied: list[int] = []
-        for t, (_, nid) in holder.items():
+        for t, (_, _, crossed) in ranked.items():
             b = basket[t]
             if b < best_basket:
                 continue
-            n = len(nin_of[nid])
+            n = len(crossed)
             if b > best_basket or n < best_len:
                 best_basket, best_len, tied = b, n, [t]
             elif n == best_len:
                 tied.append(t)
-        if best_basket <= 1:
-            break  # any deletion would empty the chosen task's own basket
+        t_del = tied[0]
         if len(tied) > 1:
-            # unspecified tie: prefer the deletion that shortens the tour most
-            t_del = max(tied, key=lambda t: (detour_saving(t), -t))
-        else:
-            t_del = tied[0]
-        vi, nid = holder[t_del]
-        affected = [t_del, *nin_of[nid]]
-        if any(basket[u] <= 1 for u in affected):
-            break
-        for u in affected:
+            # unspecified tie: prefer the deletion that shortens the tour most,
+            # then the smaller task id
+            best = None
+            for t in tied:
+                vi, nid, _ = ranked[t]
+                s = saving.get(nid)
+                if s is None:
+                    tour = tours[vi]
+                    p = tour.index(nid)
+                    row = cost_rows[vi]
+                    i, j, k = local[tour[p - 1]], local[nid], local[tour[p + 1]]
+                    # summed in edge_cost's order: i->j + j->k - i->k
+                    s = saving[nid] = row[i][j] + row[j][k] - row[i][k]
+                if best is None or s > best or (s == best and t < t_del):
+                    best, t_del = s, t
+        vi, nid, crossed = ranked.pop(t_del)
+        for u in crossed:
+            if basket[u] <= 1:
+                return deleted  # the deletion would empty a crossed task's basket
+        basket[t_del] -= 1
+        for u in crossed:
             basket[u] -= 1
-        tours[vi].remove(nid)
-        del holder[t_del]
+            if basket[u] == 1:
+                ranked.pop(u, None)
+        tour = tours[vi]
+        p = tour.index(nid)
+        saving.pop(tour[p - 1], None)  # both neighbours get a new neighbour
+        saving.pop(tour[p + 1], None)
+        del tour[p]
         deleted.append(nid)
     return deleted
 
 
 class Evaluator:
-    """Caches the chromosome -> TourSet -> cost mapping for one run."""
+    """Caches the chromosome -> TourSet -> cost mapping for one run, and
+    counts the decodes it made and the nodes they pruned."""
 
-    __slots__ = ("roadmap", "evaluations")
+    __slots__ = ("roadmap", "decodes", "pruned_nodes")
 
     def __init__(self, roadmap: Roadmap):
         self.roadmap = roadmap
-        self.evaluations = 0
+        self.decodes = 0
+        self.pruned_nodes = 0
 
     def tours(self, chrom: Chromosome) -> TourSet:
         """Decode, pruning exactly when the instance has crossings on."""
         if chrom.cached_tours is None:
-            self.evaluations += 1
-            chrom.cached_tours = _decode(chrom, self.roadmap)
+            ts = chrom.cached_tours = _decode(chrom, self.roadmap)
+            self.decodes += 1
+            self.pruned_nodes += len(ts.deleted)
         return chrom.cached_tours
 
     def cost(self, chrom: Chromosome) -> float:
@@ -681,10 +708,15 @@ class MAResult:
     op_stats: ImproveStats
     wall_time_s: float
     final_population_costs: list[float] = field(default_factory=list)
+    #: chromosomes the run decoded, and the nodes those decodes pruned
+    decodes: int = 0
+    pruned_nodes: int = 0
 
     def history_json(self) -> str:
         doc = {
             "generations": self.generations,
+            "decodes": self.decodes,
+            "pruned_nodes": self.pruned_nodes,
             "termination_reason": self.termination_reason,
             "wall_time_s": self.wall_time_s,
             "best_cost": self.best_cost,
@@ -775,4 +807,6 @@ def run(roadmap: Roadmap, params: MAParams) -> MAResult:
         op_stats=stats,
         wall_time_s=time.monotonic() - t0,
         final_population_costs=[ev.cost(c) for c in pop],
+        decodes=ev.decodes,
+        pruned_nodes=ev.pruned_nodes,
     )

@@ -16,6 +16,7 @@ moves are only ever accepted on strict improvement.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
@@ -78,10 +79,16 @@ class RefineParams:
 class RefineResult:
     chains: list[WaypointChain]
     per_chain_cost: list[float]
+    #: sweeps begun; a time limit may end the last one after its first half
     sweeps: int
-    converged: bool
+    #: "converged" (a sweep gained too little), "max_sweeps" or "time_limit"
+    stop_reason: str
     #: total cost before refinement, then after every half-sweep
     cost_trace: list[float] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def _leg_cost(a: Config, b: Config, veh: VehicleSpec, metric: str) -> float:
@@ -234,16 +241,21 @@ def _optimize_state(chain: WaypointChain, idx: int, veh: VehicleSpec, metric: st
 
 
 def refine(chains: list[WaypointChain], vehicles: list[VehicleSpec],
-           params: RefineParams | None = None, cost_metric: str = "length") -> RefineResult:
+           params: RefineParams | None = None, cost_metric: str = "length",
+           time_limit_s: float | None = None) -> RefineResult:
     """Alternating coordinate descent until the sweep gain falls below threshold.
 
     Each sweep optimizes every odd-indexed state of every chain with its
     neighbours fixed, then every even-indexed state.  Costs never increase;
     iteration stops when one full sweep improves the total by less than
     ``CONVERGENCE_THRESHOLD`` (relative) or ``max_sweeps`` is reached.
+    With ``time_limit_s``, the clock starts at the call and is read before
+    every half-sweep; once the budget is spent, the chains are returned as
+    the finished half-sweeps left them.
     """
     if params is None:
         params = RefineParams()
+    t0 = time.monotonic()
     specs = {v.id: v for v in vehicles}
     chains = [WaypointChain(c.vehicle_id, list(c.states)) for c in chains]
 
@@ -252,22 +264,26 @@ def refine(chains: list[WaypointChain], vehicles: list[VehicleSpec],
 
     costs = chain_costs()
     trace = [sum(costs)]
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, params.max_sweeps + 1):
-        before = trace[-1]
-        for parity in (1, 0):  # odd-indexed states first, then even
-            for chain in chains:
-                veh = specs[chain.vehicle_id]
-                for idx in range(parity, len(chain.states), 2):
-                    _optimize_state(chain, idx, veh, cost_metric)
-            costs = chain_costs()
-            trace.append(sum(costs))
-        now = trace[-1]
-        if before - now < CONVERGENCE_THRESHOLD * max(before, 1e-12):
-            converged = True
+    reason = "max_sweeps"
+    half_sweeps = 0
+    while half_sweeps < 2 * params.max_sweeps:
+        if time_limit_s is not None and time.monotonic() - t0 >= time_limit_s:
+            reason = "time_limit"
             break
-    return RefineResult(chains, costs, sweeps, converged, trace)
+        parity = 1 - half_sweeps % 2  # odd-indexed states first, then even
+        for chain in chains:
+            veh = specs[chain.vehicle_id]
+            for idx in range(parity, len(chain.states), 2):
+                _optimize_state(chain, idx, veh, cost_metric)
+        costs = chain_costs()
+        trace.append(sum(costs))
+        half_sweeps += 1
+        if half_sweeps % 2 == 0:
+            before = trace[-3]  # the total when this sweep began
+            if before - trace[-1] < CONVERGENCE_THRESHOLD * max(before, 1e-12):
+                reason = "converged"
+                break
+    return RefineResult(chains, costs, (half_sweeps + 1) // 2, reason, trace)
 
 
 def refined_vehicle_costs(result: RefineResult, tourset: TourSet) -> list[float]:

@@ -4,8 +4,9 @@
 If the program renames or stops calling one of them, a traced benchmark run
 reports zeros for that layer instead of failing.  This test traces two
 solves through ``benchmark/pipeline.py`` and checks that every counter and
-span the per-layer metrics read is fed, and that ``restore`` puts each
-original attribute back.  It reads the benchmark's files and edits none.
+span the per-layer metrics read is fed, that ``restore`` puts each
+original attribute back, and that the runs' own decode counts match the
+tracer's.  It reads the benchmark's files and edits none.
 """
 
 import importlib
@@ -41,13 +42,14 @@ def test_tracer_hooks_see_every_layer(bench):
 
     tracer = tracing.Tracer()
     tracer.install()
+    solved = []
     try:
         tracer.enabled = True
         for instance, (workload, sub_seed) in enumerate(
                 [(workloads.WARM_UP, 1), (workloads.WORKLOADS["tiny-oracle"], 1000)]):
             tracer.instance = instance
             with tracer.span("instance"):
-                pipeline.solve(workload, sub_seed, tracer.span)
+                solved.append(pipeline.solve(workload, sub_seed, tracer.span))
         tracer.enabled = False
     finally:
         tracer.restore()
@@ -57,3 +59,7 @@ def test_tracer_hooks_see_every_layer(bench):
     assert [name for name in SPANS if name not in seen] == []
     for owner, attrs in zip(owners, before):
         assert [name for name, value in attrs.items() if vars(owner).get(name) is not value] == []
+    # the run's own counts agree with what the tracer saw
+    assert sum(out.result.decodes for out in solved) == tracer.counts["decode.calls"]
+    assert sum(out.result.pruned_nodes for out in solved) == tracer.counts["decode.pruned"]
+    assert tracer.counts["decode.pruned"] > 0

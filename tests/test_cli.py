@@ -1,8 +1,11 @@
+import importlib
 import json
+import math
 import re
 import time
 import types
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
@@ -253,6 +256,39 @@ class TestSolve:
         assert main(["solve", str(path), "--method", "ma", "--time-limit", "0.01"]) == EXIT_OK
         wall = re.search(r"wall=([0-9.]+)s", capsys.readouterr().out)
         assert float(wall.group(1)) >= delay
+
+
+    def test_time_limit_bounds_refinement(self, tmp_path, monkeypatch):
+        # a two-generation search leaves most of the budget to refinement, and
+        # every state search is slowed by a known delay; unbounded, refining
+        # this bays29 tour takes many seconds
+        limit, delay = 1.5, 0.02
+        path, out = tmp_path / "bays29.json", tmp_path / "tour.json"
+        path.write_text(build_instance(samples_per_cluster=1, seed=1).to_json())
+        real_run = memetic.run
+        monkeypatch.setattr(memetic, "run",
+                            lambda rm, params: real_run(rm, replace(params, max_generations=2)))
+        refine_mod = importlib.import_module("ghmdatsp.refine")
+        real_opt = refine_mod._optimize_state
+        spent = []
+
+        def slow(*args):
+            t = time.monotonic()
+            time.sleep(delay)
+            real_opt(*args)
+            spent.append(time.monotonic() - t)
+
+        monkeypatch.setattr(refine_mod, "_optimize_state", slow)
+        t0 = time.monotonic()
+        assert main(["solve", str(path), "--refine", "--time-limit", str(limit),
+                     "--out", str(out)]) == EXIT_OK
+        elapsed = time.monotonic() - t0
+        doc = json.loads(out.read_text())
+        assert doc["refine_stop_reason"] == "time_limit"
+        states = len(doc["vehicles"][0]["refined_chain"]["states"])
+        longest_half_sweep = math.ceil(states / 2) * max(spent)
+        # the margin covers building the roadmap and writing the documents
+        assert elapsed <= limit + longest_half_sweep + 0.5
 
 
 class TestBench:

@@ -109,3 +109,58 @@ def test_search_trace_matches_golden(vehicles, seed):
     tallies = {op: (res.op_stats.attempts[op], res.op_stats.accepts[op])
                for op in res.op_stats.attempts}
     assert tallies == OPERATOR_TALLIES[(vehicles, seed)]
+
+
+# The benchmark's bays29 shapes, crossings on: (vehicles, samples) -> recorded
+# trace at seed 1.  Recorded at commit f77a34a, before the evaluator ranked
+# only deletable tasks and cached detour savings, with the search above.
+BENCHMARK_SHAPES = {
+    (1, 5): {
+        "history": [9755.884139360329, 9755.884139360329, 9734.642377492848,
+                    9734.642377492848, 9721.530569664392, 9522.559739952632],
+        "reason": "max_generations",
+        "tours": (
+            (0, 82, 89, 96, 53, 126, 36, 116, 81, 134, 2, 139, 30, 46, 131, 13, 105, 98, 64,
+             20, 111, 1),
+        ),
+        "deleted": (51, 58, 26, 76, 38, 8, 121, 144, 70),
+        "tallies": {
+            "global_2opt": (625, 106),
+            "local_2opt": (625, 110),
+            "task_swap": (2805, 379),
+            "sample_swap": (569, 535),
+        },
+    },
+    (4, 10): {
+        "history": [3861.7457763563107] + [3508.294610847224] * 5,
+        "reason": "max_generations",
+        "tours": (
+            (0, 166, 139, 108, 127, 35, 1),
+            (292, 346, 297, 369, 293),
+            (584, 678, 597, 668, 844, 610, 585),
+            (876, 1106, 1030, 1127, 942, 877),
+        ),
+        "deleted": (1111, 146, 629, 780, 570, 406, 870, 175, 791, 796, 1139, 1064),
+        "tallies": {
+            "global_2opt": (584, 154),
+            "local_2opt": (589, 166),
+            "task_swap": (2773, 429),
+            "sample_swap": (556, 531),
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("vehicles,samples", sorted(BENCHMARK_SHAPES))
+def test_benchmark_shape_trace_matches_golden(vehicles, samples):
+    want = BENCHMARK_SHAPES[(vehicles, samples)]
+    inst = build_instance(n_vehicles=vehicles, samples_per_cluster=samples, alpha=0.5,
+                          velocity=VELOCITIES[:vehicles], seed=1)
+    res = run(build_roadmap(inst), MAParams(seed=1, max_generations=GENERATIONS))
+    assert [h.best_cost for h in res.history] == want["history"]
+    assert res.termination_reason == want["reason"]
+    assert res.best.tours == want["tours"]
+    assert res.best.deleted == want["deleted"]
+    tallies = {op: (res.op_stats.attempts[op], res.op_stats.accepts[op])
+               for op in res.op_stats.attempts}
+    assert tallies == want["tallies"]

@@ -177,6 +177,6 @@ class TestEvaluatorCache:
         _, rm, chrom = worked_example
         ev = Evaluator(rm)
         c1 = ev.cost(chrom)
-        n = ev.evaluations
+        n = ev.decodes
         assert ev.cost(chrom) == c1
-        assert ev.evaluations == n
+        assert ev.decodes == n

@@ -1,9 +1,11 @@
 import functools
+import importlib
 import math
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,9 @@ from ghmdatsp.refine import (ENTRY_SPACING_FRACTION, ChainState, RefineError, Re
 from ghmdatsp.roadmap import build_roadmap
 
 from conftest import random_tiny_instance
+
+# the package re-exports the function ``refine``; this is the module
+refine_mod = importlib.import_module("ghmdatsp.refine")
 
 
 def make_vehicle(r_target=10.0, velocity=None):
@@ -244,6 +249,62 @@ class TestRefine:
         res = refine(chains, list(inst.vehicles))
         obj = refined_objective(res, ma.best, inst.alpha, inst.n_vehicles)
         assert obj <= ma.best_cost + 1e-9
+
+
+class TestRefineBudget:
+    def test_spent_budget_returns_input_chains_costed_once(self, pruning_example, monkeypatch):
+        inst, rm, chrom = pruning_example
+        chains = build_chain(decode(chrom, rm), rm)
+        costed = []
+        real_cost = refine_mod.chain_cost
+
+        def counted_cost(chain, veh, metric):
+            costed.append(chain.vehicle_id)
+            return real_cost(chain, veh, metric)
+
+        def no_search(*args):
+            raise AssertionError("a spent budget must not search")
+
+        monkeypatch.setattr(refine_mod, "chain_cost", counted_cost)
+        monkeypatch.setattr(refine_mod, "_optimize_state", no_search)
+        res = refine(chains, list(inst.vehicles), time_limit_s=0.0)
+        assert costed == [c.vehicle_id for c in chains]
+        assert [c.states for c in res.chains] == [c.states for c in chains]
+        specs = {v.id: v for v in inst.vehicles}
+        want = [real_cost(c, specs[c.vehicle_id], "length") for c in chains]
+        assert res.per_chain_cost == want
+        assert res.cost_trace == [sum(want)]
+        assert (res.sweeps, res.stop_reason, res.converged) == (0, "time_limit", False)
+
+    def test_cut_keeps_every_finished_half_sweep(self, pruning_example, monkeypatch):
+        # unbounded, this refinement converges after 9 sweeps; each slowed state
+        # search makes a half-sweep (at most 5 states) take 0.1 s or more
+        inst, rm, chrom = pruning_example
+        chains = build_chain(decode(chrom, rm), rm)
+        params = RefineParams(max_sweeps=20)
+        full = refine(chains, list(inst.vehicles), params)
+        delay, budget = 0.02, 0.25
+        real_opt = refine_mod._optimize_state
+        spent = []
+
+        def slow(*args):
+            t = time.monotonic()
+            time.sleep(delay)
+            real_opt(*args)
+            spent.append(time.monotonic() - t)
+
+        monkeypatch.setattr(refine_mod, "_optimize_state", slow)
+        t0 = time.monotonic()
+        res = refine(chains, list(inst.vehicles), params, time_limit_s=budget)
+        elapsed = time.monotonic() - t0
+        assert res.stop_reason == "time_limit"
+        half_sweeps = len(res.cost_trace) - 1
+        assert 1 <= half_sweeps < len(full.cost_trace) - 1
+        assert res.cost_trace == full.cost_trace[:half_sweeps + 1]
+        assert sum(res.per_chain_cost) == res.cost_trace[-1]
+        assert res.sweeps == (half_sweeps + 1) // 2
+        longest_half_sweep = 5 * max(spent)
+        assert elapsed <= budget + longest_half_sweep + 0.05
 
 
 # bays29's first eight tasks, one vehicle, refined with every scipy module blocked
