@@ -140,11 +140,12 @@ def export_milp(roadmap: Roadmap) -> MilpModel:
     objective["z"] = 1.0 - inst.alpha
 
     # every task covered by one of its own nodes or by a node crossing it
-    for task in inst.tasks:
-        row = {_yvar(nid): 1.0 for veh in inst.vehicles
-               for nid in roadmap.cluster_ids[(veh.id, task.id)]}
-        row.update((_yvar(s), 1.0) for s in sorted(roadmap.nin_task_to_nodes[task.id]))
-        constraints.append((f"cover_t{task.id}", row, ">=", 1.0))
+    cover = {t.id: {_yvar(nid): 1.0 for veh in inst.vehicles
+                    for nid in roadmap.cluster_ids[(veh.id, t.id)]} for t in inst.tasks}
+    for nid, crossed in sorted(roadmap.nin_node_to_tasks.items()):
+        for t in crossed:
+            cover[t][_yvar(nid)] = 1.0
+    constraints.extend((f"cover_t{t}", row, ">=", 1.0) for t, row in cover.items())
 
     # exactly one depot and one terminal node per vehicle
     for veh in inst.vehicles:
@@ -198,8 +199,8 @@ def find_subtours(relaxed: RelaxedSolution, roadmap: Roadmap) -> list[tuple[int,
 
     Walks each vehicle's chain from its chosen depot node, ticking off the
     tasks it visits and the tasks its chosen nodes necessarily cross.  If tasks
-    remain, every closed x-path through a remaining task is returned; an
-    empty list certifies the candidate connected and covering.
+    remain, every closed x-path off the walks is returned, since any of them may
+    cross a remaining task; an empty list certifies the candidate connected and covering.
     """
     node_by_id = roadmap.node_by_id
     succ: dict[int, int] = {}
@@ -260,22 +261,24 @@ def find_subtours(relaxed: RelaxedSolution, roadmap: Roadmap) -> list[tuple[int,
         if cur != start:
             raise MalformedSolutionError(
                 f"chain through node {start} neither closes nor reaches a terminal")
-        if any(node_by_id[nid].cluster in unvisited for nid in cycle):
-            pivot = cycle.index(min(cycle))
-            subtours.append(tuple(cycle[pivot:] + cycle[:pivot]))
+        pivot = cycle.index(min(cycle))
+        subtours.append(tuple(cycle[pivot:] + cycle[:pivot]))
     return subtours
 
 
 def subtour_cut_rows(subtours, roadmap: Roadmap) -> list[tuple[str, dict[str, float], str, float]]:
     """One generalized cut row per (cycle, member node): crossing edges >= 2y."""
+    li = roadmap.local_index
     rows = []
     for cycle in subtours:
         cyc = set(cycle)
-        across = [(a, b, x) for a, b, _, x
-                   in _vehicle_edges(roadmap, roadmap.node_by_id[cycle[0]].vehicle)
-                   if (a in cyc) != (b in cyc)]
-        for s in cycle:
-            row = {x: 1.0 for a, b, x in across if s in (a, b)}
+        veh = roadmap.node_by_id[cycle[0]].vehicle
+        cost = roadmap.cost_lists[veh]
+        outside = [(li[t.id], t.id) for t in roadmap.nodes if t.vehicle == veh and t.id not in cyc]
+        for s in cycle:  # s's edges are its column and row of the cost table
+            i = li[s]
+            row = {_xvar(t, s): 1.0 for j, t in outside if math.isfinite(cost[j][i])}
+            row.update((_xvar(s, t), 1.0) for j, t in outside if math.isfinite(cost[i][j]))
             row[_yvar(s)] = -2.0
             rows.append((f"cut_{'_'.join(map(str, cycle))}_s{s}", row, ">=", 0.0))
     return rows

@@ -114,17 +114,17 @@ def build_nin_tables(nodes: list[SampleNode], instance: Instance) -> dict[int, s
     Depot/terminal nodes get empty sets, and so does every node when the
     instance has crossings off.
     """
-    node_to_tasks: dict[int, set[int]] = {}
-    specs = {v.id: v for v in instance.vehicles}
+    node_to_tasks: dict[int, set[int]] = {s.id: set() for s in nodes}
+    if not instance.nin_enabled:
+        return node_to_tasks
+    # the turn radius and the task disks depend on the vehicle alone
+    crossing = {v.id: (v.r_min, [(t.id, Disk(t.center, v.sensing_range)) for t in instance.tasks])
+                for v in instance.vehicles}
     for s in nodes:
-        covered: set[int] = set()
-        if s.cluster > 0 and instance.nin_enabled:
-            veh = specs[s.vehicle]
-            for task in instance.tasks:
-                if (task.id != s.cluster
-                        and nin_check(s.config, veh.r_min, Disk(task.center, veh.sensing_range))):
-                    covered.add(task.id)
-        node_to_tasks[s.id] = covered
+        if s.cluster > 0:
+            r_min, disks = crossing[s.vehicle]
+            node_to_tasks[s.id].update(t for t, disk in disks
+                                       if t != s.cluster and nin_check(s.config, r_min, disk))
     return node_to_tasks
 
 
@@ -140,8 +140,6 @@ class Roadmap:
     nodes: list[SampleNode]
     cost: dict[int, np.ndarray]
     nin_node_to_tasks: dict[int, set[int]]
-    #: the inverse crossing map: the nodes that cross each task
-    nin_task_to_nodes: dict[int, set[int]] = field(init=False)
     node_by_id: dict[int, SampleNode] = field(init=False)
     local_index: dict[int, int] = field(init=False)
     #: node ids of each (vehicle, cluster), in sample order; ``ids_by_vehicle``
@@ -154,10 +152,6 @@ class Roadmap:
     def __post_init__(self):
         self.vehicle_ids = tuple(v.id for v in self.instance.vehicles)
         self.node_by_id = {s.id: s for s in self.nodes}
-        self.nin_task_to_nodes = {t.id: set() for t in self.instance.tasks}
-        for nid, crossed in self.nin_node_to_tasks.items():
-            for t in crossed:
-                self.nin_task_to_nodes[t].add(nid)
         self.local_index = {}
         counters: dict[int, int] = {}
         for s in self.nodes:

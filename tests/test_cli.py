@@ -290,6 +290,68 @@ class TestSolve:
         # the margin covers building the roadmap and writing the documents
         assert elapsed <= limit + longest_half_sweep + 0.5
 
+    def test_binding_budget_leaves_refinement_a_share(self, tmp_path, monkeypatch):
+        # unbounded, this search runs for seconds, so a 1.5 s limit binds
+        limit = 1.5
+        path, out = tmp_path / "bays29.json", tmp_path / "tour.json"
+        path.write_text(build_instance(samples_per_cluster=5, seed=1).to_json())
+        # one stamp when the population is ready, then one per generation
+        stamps = []
+        real_stat = memetic.GenerationStat
+
+        def stamped(*args):
+            stamps.append(time.monotonic())
+            return real_stat(*args)
+
+        monkeypatch.setattr(memetic, "GenerationStat", stamped)
+        # one vehicle, so refinement costs one chain before and after each half-sweep
+        refine_mod = importlib.import_module("ghmdatsp.refine")
+        real_cost = refine_mod.chain_cost
+        costed = []
+
+        def timed_cost(*args):
+            costed.append(time.monotonic())
+            return real_cost(*args)
+
+        monkeypatch.setattr(refine_mod, "chain_cost", timed_cost)
+        t0 = time.monotonic()
+        assert main(["solve", str(path), "--refine", "--time-limit", str(limit),
+                     "--out", str(out)]) == EXIT_OK
+        elapsed = time.monotonic() - t0
+        half_sweeps = [b - a for a, b in zip(costed, costed[1:])]
+        generations = [b - a for a, b in zip(stamps, stamps[1:])]
+        assert len(half_sweeps) >= 1, "refinement ran no half-sweep"
+        assert generations
+        # the margin covers building the roadmap and writing the documents
+        assert elapsed <= limit + max(generations) + max(half_sweeps) + 0.5
+
+    @pytest.mark.parametrize("limit", [None, 1.0], ids=["free", "binding"])
+    @pytest.mark.parametrize("source", ["bays29", "tiny-0", "tiny-13"])
+    def test_refined_document_never_above_search_best(self, tmp_path, monkeypatch, source,
+                                                       limit):
+        if source == "bays29":
+            inst = build_instance(samples_per_cluster=5, seed=1)
+            if limit is None:  # a free search on bays29 takes about 10 s; a short one will do
+                real_run = memetic.run
+                monkeypatch.setattr(memetic, "run", lambda rm, params: real_run(
+                    rm, replace(params, max_generations=10)))
+        else:
+            inst = random_tiny_instance(int(source.split("-")[1]))
+        path, out = tmp_path / "inst.json", tmp_path / "tour.json"
+        path.write_text(inst.to_json())
+        argv = ["solve", str(path), "--refine", "--out", str(out)]
+        if limit is not None:
+            argv += ["--time-limit", str(limit)]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(out.read_text())
+        history = json.loads((tmp_path / "tour.history.json").read_text())
+        assert doc["objective"] <= history["best_cost"]
+        if doc["method"] == "MA-NIN":  # refinement dropped: the node tours stand
+            assert doc["objective"] == history["best_cost"]
+            assert "refine_sweeps" not in doc and doc["refine_dropped"]
+        else:
+            assert doc["method"] == "MA-NIN-PR" and "refine_dropped" not in doc
+
 
 class TestBench:
     def test_empty_config_writes_empty_table(self, tmp_path):

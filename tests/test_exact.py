@@ -59,6 +59,21 @@ class TestExportMilp:
             assert model.objective_value(values) == pytest.approx(opt.objective, rel=1e-9)
             assert find_subtours(sol, rm) == []
 
+    def test_cover_rows_read_own_and_crossing_nodes(self):
+        """Each cover row holds the task's own y variables and those of every
+        node whose crossing set contains the task, and nothing else."""
+        inst = build_instance(n_vehicles=2, samples_per_cluster=3, velocity=50,
+                              task_centers=[(200.0 * i, 200.0 + 90.0 * (i % 3))
+                                            for i in range(1, 8)],
+                              depots=[(0.0, 0.0), (1600.0, 800.0)], seed=21)
+        rm = build_roadmap(inst)
+        rows = {name: coeffs for name, coeffs, _, _ in export_milp(rm).constraints}
+        assert any(rm.nin_node_to_tasks.values())
+        for task in inst.tasks:
+            want = {f"y_{s.id}" for s in rm.nodes
+                    if s.cluster == task.id or task.id in rm.nin_node_to_tasks[s.id]}
+            assert rows[f"cover_t{task.id}"] == dict.fromkeys(want, 1.0)
+
     def test_objective_linearization_identity(self):
         inst = random_tiny_instance(5)
         rm = build_roadmap(inst)
@@ -124,6 +139,27 @@ class TestFindSubtours:
         x[(n2, n3)] = x[(n3, n2)] = 1
         assert find_subtours(RelaxedSolution(y, x), rm) == []
 
+    def test_cycle_crossing_an_uncovered_task_is_reported(self, pruning_example):
+        """A cycle whose own tasks the walks cover, and whose node alone
+        crosses the one task no walk covers, is still reported: the uncut
+        model accepts this candidate, so only separation can reject it."""
+        _, rm, _ = pruning_example
+        n1, n5 = rm.node(1, 1, 1).id, rm.node(2, 5, 1).id
+        c2, c5 = rm.node(1, 2, 1).id, rm.node(1, 5, 1).id
+        assert rm.nin_node_to_tasks[n1] == {2, 3} and rm.nin_node_to_tasks[c5] == {4}
+        y = {s.id: 0 for s in rm.nodes}
+        x = {}
+        for veh, nid in ((1, n1), (2, n5)):  # the walks cover tasks 1, 2, 3 and 5
+            depot, term = rm.node(veh, DEPOT, 1).id, rm.node(veh, TERMINAL, 1).id
+            for s in (depot, nid, term):
+                y[s] = 1
+            x[(depot, nid)] = x[(nid, term)] = 1
+        y[c2] = y[c5] = 1
+        x[(c2, c5)] = x[(c5, c2)] = 1
+        sol = RelaxedSolution(y, x)
+        assert export_milp(rm).check_assignment(sol.as_var_values(rm, z=1e9)) == []
+        assert find_subtours(sol, rm) == [(c2, c5)]
+
     def test_degree_violation_detected(self, triangle):
         sol, _ = self._planted(triangle)
         sol.x[(triangle.node(1, 2, 1).id, triangle.node(1, 3, 1).id)] = 0
@@ -139,6 +175,26 @@ class TestFindSubtours:
         for _name, coeffs, sense, rhs in rows:
             assert sense == ">=" and rhs == 0.0
             assert any(v.startswith("y_") and c == -2.0 for v, c in coeffs.items())
+
+    def test_cut_rows_match_pairwise_reference(self, triangle, pruning_example):
+        """Each member's row holds every permitted edge between it and a node
+        outside the cycle, found by walking every ordered node pair."""
+        _, fig4, _ = pruning_example
+        cases = [(triangle, [self._planted(triangle)[1]]),
+                 (fig4, [tuple(fig4.node(1, t, 1).id for t in (2, 4, 5)),
+                         tuple(fig4.node(2, t, 1).id for t in (1, 3))])]
+        for rm, cycles in cases:
+            want = []
+            for cycle in cycles:
+                veh = rm.node_by_id[cycle[0]].vehicle
+                local = [s.id for s in rm.nodes if s.vehicle == veh]
+                for s in cycle:
+                    row = {f"x_{a}_{b}": 1.0 for a in local for b in local
+                           if s in (a, b) and (a in cycle) != (b in cycle)
+                           and math.isfinite(rm.edge_cost(veh, a, b))}
+                    row[f"y_{s}"] = -2.0
+                    want.append((f"cut_{'_'.join(map(str, cycle))}_s{s}", row, ">=", 0.0))
+            assert subtour_cut_rows(cycles, rm) == want
 
 
 class TestBruteForce:

@@ -4,10 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from ghmdatsp.geometry import Config, dubins_shortest_path
+from ghmdatsp.geometry import Config, Disk, dubins_shortest_path, nin_check
 from ghmdatsp.instance import build_instance
-from ghmdatsp.roadmap import (DEPOT, TERMINAL, SampleNode, build_cost_matrix, build_roadmap,
-                              generate_samples)
+from ghmdatsp.roadmap import (DEPOT, TERMINAL, SampleNode, build_cost_matrix, build_nin_tables,
+                              build_roadmap, generate_samples)
 
 from conftest import manual_roadmap, on_one_turning_circle
 
@@ -145,11 +145,24 @@ class TestCostMatrix:
 
 
 class TestNinTables:
-    def test_inverse_consistency(self, small_roadmap):
-        _, rm = small_roadmap
-        for s in rm.nodes:
-            for t in rm.nin_task_to_nodes:
-                assert (s.id in rm.nin_task_to_nodes[t]) == (t in rm.nin_node_to_tasks[s.id])
+    @pytest.mark.parametrize("nin", [True, False], ids=["crossings", "no-crossings"])
+    @pytest.mark.parametrize("shape", [
+        dict(n_vehicles=1, samples_per_cluster=5, velocity=50.0),
+        dict(n_vehicles=4, samples_per_cluster=10, velocity=[50.0, 60.0, 70.0, 80.0]),
+    ], ids=["bays29-m1-s5", "bays29-m4-s10"])
+    def test_matches_pairwise_checks(self, shape, nin):
+        inst = build_instance(**shape, nin_enabled=nin, seed=1000)
+        nodes = generate_samples(inst)
+        specs = {v.id: v for v in inst.vehicles}
+        want = {s.id: {t.id for t in inst.tasks
+                       if nin and s.cluster > 0 and t.id != s.cluster
+                       and nin_check(s.config, specs[s.vehicle].r_min,
+                                     Disk(t.center, specs[s.vehicle].sensing_range))}
+                for s in nodes}
+        got = build_nin_tables(nodes, inst)
+        assert got == want
+        assert list(got) == [s.id for s in nodes]
+        assert any(want.values()) == nin
 
     def test_own_cluster_excluded_and_endpoints_empty(self, small_roadmap):
         _, rm = small_roadmap
@@ -179,8 +192,9 @@ class TestNinTables:
         rm = manual_roadmap(inst, nodes)
         assert rm.nin_node_to_tasks[2] == {2, 3}   # first boundary node crosses tasks 2 and 3
         assert rm.nin_node_to_tasks[3] == {2}      # second crosses only the near task 2
-        assert rm.nin_task_to_nodes[2] == {2, 3}   # task 2 is crossed by both boundary nodes
-        assert rm.nin_task_to_nodes[3] == {2}      # task 3 only by the first
+        # task 2 is crossed by both boundary nodes, task 3 only by the first
+        assert {s for s, crossed in rm.nin_node_to_tasks.items() if 2 in crossed} == {2, 3}
+        assert {s for s, crossed in rm.nin_node_to_tasks.items() if 3 in crossed} == {2}
 
     def test_widely_separated_tasks_have_empty_tables(self):
         inst = build_instance([(0.0, 0.0), (5000.0, 0.0), (0.0, 5000.0)],
@@ -188,7 +202,7 @@ class TestNinTables:
                               depots=[(2500.0, 2500.0)], seed=8)
         rm = build_roadmap(inst)
         assert all(not v for v in rm.nin_node_to_tasks.values())
-        assert all(not v for v in rm.nin_task_to_nodes.values())
+        assert not any(t.id in v for t in inst.tasks for v in rm.nin_node_to_tasks.values())
 
     def test_crossing_claims_verified_by_densified_circles(self, small_roadmap):
         """For nodes with crossing claims, riding either tangent circle passes
