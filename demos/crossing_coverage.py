@@ -26,7 +26,7 @@ uncrossed = build_roadmap(replace(instance, nin_enabled=False))
 
 for node_id, crossed in roadmap.nin_node_to_tasks.items():
     if crossed:
-        node = roadmap.node_by_id[node_id]
+        node = roadmap.nodes[node_id]
         print(f"node of task {node.cluster} necessarily crosses tasks {sorted(crossed)}")
 
 # one vehicle: depot, task 1 then task 2 (sample 1 each), terminal

@@ -31,7 +31,7 @@ result = run(roadmap, MAParams(seed=7, max_generations=150, stagnation_limit=30)
 print(f"memetic search: objective {result.best_cost:.1f} "
       f"after {result.generations} generations ({result.termination_reason})")
 for vi, (tour, cost) in enumerate(zip(result.best.tours, result.best.per_vehicle_cost), 1):
-    tasks = [roadmap.node_by_id[n].cluster for n in tour[1:-1]]
+    tasks = [roadmap.nodes[n].cluster for n in tour[1:-1]]
     print(f"  vehicle {vi}: tasks {tasks}  cost {cost:.1f}")
 
 chains = build_chain(result.best, roadmap)

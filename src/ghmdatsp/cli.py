@@ -79,7 +79,7 @@ def tour_document(instance: Instance, roadmap: Roadmap, tourset: TourSet, method
     for veh, tour, cost in zip(instance.vehicles, tourset.tours, costs):
         nodes = []
         for nid in tour:
-            s = roadmap.node_by_id[nid]
+            s = roadmap.nodes[nid]
             nodes.append({
                 "cluster": s.cluster,
                 "sample": s.index_in_cluster,
@@ -144,9 +144,6 @@ def _add_solve(sub):
     p.set_defaults(run=cmd_solve)
     p.add_argument("instance", type=Path)
     p.add_argument("--method", choices=("ma", "oracle", "milp-export"), default="ma")
-    nin = p.add_mutually_exclusive_group()
-    nin.add_argument("--nin", dest="nin", action="store_true", default=None)
-    nin.add_argument("--no-nin", dest="nin", action="store_false")
     p.add_argument("--refine", action="store_true", default=None)
     p.add_argument("--seed", type=int, default=None, help="override the solver seed")
     p.add_argument("--time-limit", type=_time_limit, default=None)
@@ -230,10 +227,9 @@ def cmd_solve(args) -> int:
     if ignored:
         raise UsageError(f"--method {args.method} ignores {', '.join(ignored)}")
     inst = Instance.from_json(args.instance.read_text())
-    if args.nin is not None:
-        inst = replace(inst, nin_enabled=args.nin)
     if args.refine and not inst.nin_enabled:
-        raise UsageError("--refine applies to NIN solving; re-run with --nin")
+        raise UsageError("--refine needs an instance with crossings on; "
+                         "write one with `generate --nin`")
     t0 = time.monotonic()
     roadmap = build_roadmap(inst)
 

@@ -115,8 +115,9 @@ def export_milp(roadmap: Roadmap) -> MilpModel:
 
     The objective blends the mean vehicle cost with a continuous variable z
     bounded below by every per-vehicle cost.  A task is covered by one of
-    its own nodes or by a chosen node that crosses it.  Subtour rows are
-    left to lazy separation.
+    its own nodes or by a chosen node that crosses it, and takes at most
+    one of its own nodes, as a chromosome does.  Subtour rows are left to
+    lazy separation.
     """
     inst = roadmap.instance
     m = inst.n_vehicles
@@ -139,13 +140,16 @@ def export_milp(roadmap: Roadmap) -> MilpModel:
         constraints.append((f"maxcost_v{veh.id}", row, "<=", 0.0))
     objective["z"] = 1.0 - inst.alpha
 
-    # every task covered by one of its own nodes or by a node crossing it
-    cover = {t.id: {_yvar(nid): 1.0 for veh in inst.vehicles
-                    for nid in roadmap.cluster_ids[(veh.id, t.id)]} for t in inst.tasks}
+    # every task takes at most one of its own nodes, over all vehicles, and is
+    # covered by one of them or by a node crossing it
+    own = {t.id: {_yvar(nid): 1.0 for veh in inst.vehicles
+                  for nid in roadmap.cluster_ids[(veh.id, t.id)]} for t in inst.tasks}
+    cover = {t: dict(row) for t, row in own.items()}
     for nid, crossed in sorted(roadmap.nin_node_to_tasks.items()):
         for t in crossed:
             cover[t][_yvar(nid)] = 1.0
     constraints.extend((f"cover_t{t}", row, ">=", 1.0) for t, row in cover.items())
+    constraints.extend((f"once_t{t}", row, "<=", 1.0) for t, row in own.items())
 
     # exactly one depot and one terminal node per vehicle
     for veh in inst.vehicles:
@@ -202,7 +206,7 @@ def find_subtours(relaxed: RelaxedSolution, roadmap: Roadmap) -> list[tuple[int,
     remain, every closed x-path off the walks is returned, since any of them may
     cross a remaining task; an empty list certifies the candidate connected and covering.
     """
-    node_by_id = roadmap.node_by_id
+    nodes = roadmap.nodes
     succ: dict[int, int] = {}
     for (a, b), v in relaxed.x.items():
         if v not in (0, 1):
@@ -224,7 +228,7 @@ def find_subtours(relaxed: RelaxedSolution, roadmap: Roadmap) -> list[tuple[int,
         steps = 0
         while True:
             if cur not in succ:
-                if node_by_id[cur].cluster == TERMINAL:
+                if nodes[cur].cluster == TERMINAL:
                     break
                 raise MalformedSolutionError(
                     f"vehicle {veh.id}: walk stalls at node {cur} before a terminal")
@@ -233,7 +237,7 @@ def find_subtours(relaxed: RelaxedSolution, roadmap: Roadmap) -> list[tuple[int,
             steps += 1
             if steps > len(roadmap.nodes):
                 raise MalformedSolutionError(f"vehicle {veh.id}: walk never reaches a terminal")
-            cluster = node_by_id[cur].cluster
+            cluster = nodes[cur].cluster
             if cluster == TERMINAL:
                 break
             unvisited.discard(cluster)
@@ -272,7 +276,7 @@ def subtour_cut_rows(subtours, roadmap: Roadmap) -> list[tuple[str, dict[str, fl
     rows = []
     for cycle in subtours:
         cyc = set(cycle)
-        veh = roadmap.node_by_id[cycle[0]].vehicle
+        veh = roadmap.nodes[cycle[0]].vehicle
         cost = roadmap.cost_lists[veh]
         outside = [(li[t.id], t.id) for t in roadmap.nodes if t.vehicle == veh and t.id not in cyc]
         for s in cycle:  # s's edges are its column and row of the cost table
@@ -302,7 +306,7 @@ def solve_bruteforce(roadmap: Roadmap) -> TourSet:
     inst = roadmap.instance
     veh_ids = roadmap.vehicle_ids
     # each task is left to a crossing (None) or takes one node of one vehicle
-    options = [[None] + [roadmap.node_by_id[nid] for k in veh_ids
+    options = [[None] + [roadmap.nodes[nid] for k in veh_ids
                          for nid in roadmap.cluster_ids[(k, t.id)]]
                for t in inst.tasks]
     assignments = math.prod(float(len(opts)) for opts in options)  # inf, not an error, if huge

@@ -26,12 +26,6 @@ def norm_angle(theta: float) -> float:
     return a if a < TWO_PI else 0.0
 
 
-def ang_close(a: float, b: float, tol: float = 1e-9) -> bool:
-    """Circular angle equality within ``tol`` radians."""
-    d = abs(norm_angle(a) - norm_angle(b))
-    return min(d, TWO_PI - d) <= tol
-
-
 @dataclass(frozen=True)
 class Config:
     """A planar pose: position in meters, heading in radians [0, 2*pi)."""
@@ -148,7 +142,8 @@ def dubins_shortest_path(start: Config, end: Config, r_min: float) -> DubinsPath
     dx = end.x - start.x
     dy = end.y - start.y
     dist = math.hypot(dx, dy)
-    if dist <= 1e-12 and ang_close(start.theta, end.theta, 1e-12):
+    gap = abs(start.theta - end.theta)
+    if dist <= 1e-12 and min(gap, TWO_PI - gap) <= 1e-12:
         return DubinsPath("LSL", (0.0, 0.0, 0.0), r_min, start, 0.0)
 
     d = dist / r_min

@@ -99,12 +99,10 @@ class TourSet:
                    evaluate(costs, roadmap.instance.alpha), tuple(deleted))
 
 
-def evaluate(per_vehicle_cost, alpha: float, m: int | None = None) -> float:
+def evaluate(per_vehicle_cost, alpha: float) -> float:
     """Blend of mean and max vehicle cost: alpha*mean + (1-alpha)*max."""
     costs = list(per_vehicle_cost)
-    if m is None:
-        m = len(costs)
-    return alpha * (sum(costs) / m) + (1.0 - alpha) * max(costs)
+    return alpha * (sum(costs) / len(costs)) + (1.0 - alpha) * max(costs)
 
 
 def _decode(chrom: Chromosome, roadmap: Roadmap) -> TourSet:
@@ -157,7 +155,7 @@ def _nin_reduce(tours: list[list[int]], roadmap: Roadmap) -> list[int]:
     once and kept until a deletion gives the node a new neighbour.
     """
     nin_of = roadmap.nin_node_to_tasks
-    node_by_id = roadmap.node_by_id
+    nodes = roadmap.nodes
     basket = [1] * (roadmap.n_tasks + 1)
     for tour in tours:
         for nid in tour[1:-1]:
@@ -166,7 +164,7 @@ def _nin_reduce(tours: list[list[int]], roadmap: Roadmap) -> list[int]:
     ranked: dict[int, tuple[int, int, set[int]]] = {}  # task -> (vehicle index, node, crossed)
     for vi, tour in enumerate(tours):
         for nid in tour[1:-1]:
-            t = node_by_id[nid].cluster
+            t = nodes[nid].cluster
             if basket[t] > 1:
                 ranked[t] = (vi, nid, nin_of[nid])
     cost_rows = [roadmap.cost_lists[veh] for veh in roadmap.vehicle_ids]
@@ -361,7 +359,7 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
     rm = ev.roadmap
     ts = ev.tours(chrom)
     nin_of = rm.nin_node_to_tasks
-    node_by_id = rm.node_by_id
+    nodes = rm.nodes
     cluster_ids = rm.cluster_ids
     cost_lists = rm.cost_lists
     local = rm.local_index
@@ -371,7 +369,7 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
     cover = {t.id: 0 for t in rm.instance.tasks}
     for tour in tours:
         for nid in tour[1:-1]:
-            cover[node_by_id[nid].cluster] += 1
+            cover[nodes[nid].cluster] += 1
             for t in nin_of[nid]:
                 cover[t] += 1
 
@@ -382,7 +380,7 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
         cmat = cost_lists[veh]
         for tp in range(1, len(tour) - 1):
             cur = tour[tp]
-            c = node_by_id[cur].cluster
+            c = nodes[cur].cluster
             ids = cluster_ids[(veh, c)]
             if len(ids) < 2:
                 continue
@@ -462,8 +460,8 @@ def _move(op: str, chrom: Chromosome, ev: Evaluator, rng: random.Random,
     return out
 
 
-def improve(chrom: Chromosome, level: str, params: MAParams, ev: Evaluator,
-            rng: random.Random, stats: ImproveStats | None = None) -> Chromosome:
+def improve(chrom: Chromosome, level: str, ev: Evaluator, rng: random.Random,
+            stats: ImproveStats | None = None) -> Chromosome:
     """Apply the light ("I") or intensive ("II") local-search schedule.
 
     Level I runs one global 2-opt, one local 2-opt, one sample-swap scan
@@ -475,17 +473,17 @@ def improve(chrom: Chromosome, level: str, params: MAParams, ev: Evaluator,
         stats = ImproveStats()
     if level == "I":
         ops = ["global_2opt", "local_2opt", "sample_swap"]
-        for op in ops + ["task_swap"] * params.task_swap_repeats_l1:
+        for op in ops + ["task_swap"] * MAParams.task_swap_repeats_l1:
             chrom = _move(op, chrom, ev, rng, stats)
         return chrom
     if level == "II":
         for op in ("global_2opt", "local_2opt", "task_swap"):
             streak = 0
-            while streak < params.stagnation_streak_l2:
+            while streak < MAParams.stagnation_streak_l2:
                 out = _move(op, chrom, ev, rng, stats)
                 streak = 0 if out is not chrom else streak + 1
                 chrom = out
-        for _ in range(params.sample_swap_repeats_l2):
+        for _ in range(MAParams.sample_swap_repeats_l2):
             chrom = _move("sample_swap", chrom, ev, rng, stats)
         return chrom
     raise ValueError(f"level must be 'I' or 'II', got {level!r}")
@@ -592,25 +590,25 @@ def init_population(roadmap: Roadmap, params: MAParams, rng: random.Random,
         else:
             chrom = _chromosome_from_orders(roadmap, rng, orders)
         if not _out_of_time(params, t0):
-            chrom = improve(chrom, "I", params, ev, rng, stats)
+            chrom = improve(chrom, "I", ev, rng, stats)
         pop.append(chrom)
     pop.sort(key=ev.cost)
     return pop
 
 
-def select(population: list[Chromosome], kappa: float, rng: random.Random,
+def select(population: list[Chromosome], rng: random.Random,
            ev: Evaluator) -> tuple[Chromosome, Chromosome]:
     """Roulette-wheel draw of two parents, preferring distinct costs.
 
-    Fitness rescales costs so the best member is exactly ``kappa`` times
-    as likely as the worst; identical costs degrade to uniform draws.
+    Fitness rescales costs so the best member is exactly ``selection_pressure``
+    times as likely as the worst; identical costs degrade to uniform draws.
     """
     costs = [ev.cost(c) for c in population]
     cw, cb = max(costs), min(costs)
     if cw - cb <= 0.0:
         weights = None
     else:
-        shift = (cw - cb) / (kappa - 1.0)
+        shift = (cw - cb) / (MAParams.selection_pressure - 1.0)
         weights = [cw - c + shift for c in costs]
 
     def draw():
@@ -627,8 +625,7 @@ def select(population: list[Chromosome], kappa: float, rng: random.Random,
     return population[a], population[b]
 
 
-def crossover(parent1: Chromosome, parent2: Chromosome, params: MAParams,
-              rng: random.Random) -> Chromosome:
+def crossover(parent1: Chromosome, parent2: Chromosome, rng: random.Random) -> Chromosome:
     """Parameterized uniform crossover.
 
     A fixed share of positions (``crossover_p1_share``) is drawn without
@@ -644,7 +641,7 @@ def crossover(parent1: Chromosome, parent2: Chromosome, params: MAParams,
     """
     length = len(parent1)
     total_delims = parent1.genes.count(0)
-    k = math.ceil(params.crossover_p1_share * length)
+    k = math.ceil(MAParams.crossover_p1_share * length)
     keep = set(rng.sample(range(length), k))
 
     child: list[int | None] = [None] * length
@@ -701,7 +698,6 @@ class GenerationStat:
 @dataclass
 class MAResult:
     best: TourSet
-    best_cost: float
     generations: int
     termination_reason: str
     history: list[GenerationStat]
@@ -711,6 +707,10 @@ class MAResult:
     #: chromosomes the run decoded, and the nodes those decodes pruned
     decodes: int = 0
     pruned_nodes: int = 0
+
+    @property
+    def best_cost(self) -> float:
+        return self.best.objective
 
     def history_json(self) -> str:
         doc = {
@@ -748,7 +748,7 @@ def run(roadmap: Roadmap, params: MAParams) -> MAResult:
 
     def polished(chrom: Chromosome, threshold: float) -> Chromosome:
         level = "II" if ev.cost(chrom) <= threshold else "I"
-        return improve(chrom, level, params, ev, rng, stats)
+        return improve(chrom, level, ev, rng, stats)
 
     pop = init_population(roadmap, params, rng, ev, stats)
     history = [GenerationStat(0, ev.cost(pop[0]), sum(map(ev.cost, pop)) / n_pop)]
@@ -766,8 +766,8 @@ def run(roadmap: Roadmap, params: MAParams) -> MAResult:
         nxt = pop[:n_elite]
         n_children = round(params.offspring_share * (n_pop - n_elite))
         for _ in range(n_children):
-            p1, p2 = select(pop, params.selection_pressure, rng, ev)
-            nxt.append(polished(crossover(p1, p2, params, rng), threshold))
+            p1, p2 = select(pop, rng, ev)
+            nxt.append(polished(crossover(p1, p2, rng), threshold))
         while len(nxt) < n_pop:
             nxt.append(polished(immigrant(), threshold))
         nxt.sort(key=ev.cost)
@@ -779,7 +779,7 @@ def run(roadmap: Roadmap, params: MAParams) -> MAResult:
         for idx in range(1, n_pop):
             c = ev.cost(nxt[idx])
             if abs(c - last_kept) <= eps * max(1.0, abs(last_kept)):
-                nxt[idx] = improve(immigrant(), "I", params, ev, rng, stats)
+                nxt[idx] = improve(immigrant(), "I", ev, rng, stats)
                 replaced = True
             else:
                 last_kept = c
@@ -800,7 +800,6 @@ def run(roadmap: Roadmap, params: MAParams) -> MAResult:
 
     return MAResult(
         best=ev.tours(pop[0]),
-        best_cost=ev.cost(pop[0]),
         generations=generation,
         termination_reason=reason,
         history=history,

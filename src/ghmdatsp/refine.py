@@ -112,9 +112,9 @@ def build_chain(tourset: TourSet, roadmap: Roadmap) -> list[WaypointChain]:
     :class:`RefineError` is raised.
     """
     inst = roadmap.instance
-    node_by_id = roadmap.node_by_id
+    nodes = roadmap.nodes
     task_by_id = {t.id: t for t in inst.tasks}
-    direct = {node_by_id[nid].cluster for tour in tourset.tours for nid in tour[1:-1]}
+    direct = {nodes[nid].cluster for tour in tourset.tours for nid in tour[1:-1]}
     unplaced = [t.id for t in inst.tasks if t.id not in direct]
 
     out: list[WaypointChain] = []
@@ -122,10 +122,10 @@ def build_chain(tourset: TourSet, roadmap: Roadmap) -> list[WaypointChain]:
         if len(tour) <= 2:
             continue
         radius = veh.sensing_range
-        states = [ChainState(node_by_id[tour[0]].cluster, node_by_id[tour[0]].config)]
+        states = [ChainState(nodes[tour[0]].cluster, nodes[tour[0]].config)]
         for a, b in zip(tour, tour[1:]):
             # densify the leg once; every task not yet placed goes to its first entry
-            path = dubins_shortest_path(node_by_id[a].config, node_by_id[b].config, veh.r_min)
+            path = dubins_shortest_path(nodes[a].config, nodes[b].config, veh.r_min)
             poses = sample_path(path, veh.r_min * ENTRY_SPACING_FRACTION)
             pts = np.array([[c.x, c.y] for c in poses])
             entries = []
@@ -137,12 +137,12 @@ def build_chain(tourset: TourSet, roadmap: Roadmap) -> list[WaypointChain]:
                     unplaced.remove(t)
             for step, t in sorted(entries, key=lambda e: e[0]):
                 states.append(ChainState(t, poses[step], Disk(task_by_id[t].center, radius)))
-            node_b = node_by_id[b]
+            node_b = nodes[b]
             if node_b.cluster > 0:
                 states.append(ChainState(node_b.cluster, node_b.config,
                                          Disk(task_by_id[node_b.cluster].center,
                                               task_by_id[node_b.cluster].radius)))
-        states.append(ChainState(node_by_id[tour[-1]].cluster, node_by_id[tour[-1]].config))
+        states.append(ChainState(nodes[tour[-1]].cluster, nodes[tour[-1]].config))
         out.append(WaypointChain(veh.id, states))
     if unplaced:
         raise RefineError(
@@ -294,5 +294,7 @@ def refined_vehicle_costs(result: RefineResult, tourset: TourSet) -> list[float]
 
 
 def refined_objective(result: RefineResult, tourset: TourSet, alpha: float, m: int) -> float:
-    """Objective after refinement: refined chains plus untouched empty tours."""
-    return evaluate(refined_vehicle_costs(result, tourset), alpha, m)
+    """Objective after refinement: refined chains plus untouched empty tours.
+    ``m`` is unread, as the blend averages the per-vehicle costs; it stays for
+    callers that pass it positionally."""
+    return evaluate(refined_vehicle_costs(result, tourset), alpha)

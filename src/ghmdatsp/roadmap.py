@@ -132,15 +132,15 @@ def build_nin_tables(nodes: list[SampleNode], instance: Instance) -> dict[int, s
 class Roadmap:
     """Immutable bundle of an instance's nodes, costs and NIN tables.
 
-    Raises ``ValueError`` unless every vehicle has exactly one depot node
-    and one terminal node.
+    A node's id is its index in ``nodes``.  Raises ``ValueError`` unless
+    that holds and every vehicle has exactly one depot node and one
+    terminal node.
     """
 
     instance: Instance
     nodes: list[SampleNode]
     cost: dict[int, np.ndarray]
     nin_node_to_tasks: dict[int, set[int]]
-    node_by_id: dict[int, SampleNode] = field(init=False)
     local_index: dict[int, int] = field(init=False)
     #: node ids of each (vehicle, cluster), in sample order; ``ids_by_vehicle``
     #: nests the same lists by vehicle, then cluster
@@ -151,10 +151,11 @@ class Roadmap:
 
     def __post_init__(self):
         self.vehicle_ids = tuple(v.id for v in self.instance.vehicles)
-        self.node_by_id = {s.id: s for s in self.nodes}
         self.local_index = {}
         counters: dict[int, int] = {}
-        for s in self.nodes:
+        for i, s in enumerate(self.nodes):
+            if s.id != i:
+                raise ValueError(f"node {s.id} sits at index {i}; a node's id must be its index")
             self.local_index[s.id] = counters.get(s.vehicle, 0)
             counters[s.vehicle] = counters.get(s.vehicle, 0) + 1
         self.ids_by_vehicle = {}
@@ -180,7 +181,7 @@ class Roadmap:
         return self.instance.n_vehicles
 
     def node(self, vehicle: int, cluster: int, index_in_cluster: int) -> SampleNode:
-        return self.node_by_id[self.cluster_ids[(vehicle, cluster)][index_in_cluster - 1]]
+        return self.nodes[self.cluster_ids[(vehicle, cluster)][index_in_cluster - 1]]
 
     def edge_cost(self, vehicle: int, a: int, b: int) -> float:
         """Cost between two global node ids of the same vehicle."""

@@ -33,7 +33,7 @@ def coverage_ok(tourset, roadmap) -> bool:
     crossed = set()
     for tour in tourset.tours:
         for nid in tour[1:-1]:
-            visited.add(roadmap.node_by_id[nid].cluster)
+            visited.add(roadmap.nodes[nid].cluster)
             crossed.update(roadmap.nin_node_to_tasks[nid])
     return all(t.id in visited or t.id in crossed for t in roadmap.instance.tasks)
 

@@ -34,13 +34,13 @@ def _nin_reduce(tours, roadmap):
     """Prune ``tours`` in place; return the deleted node ids in order and
     the number of deletions the saving tie-break decided."""
     nin_of = roadmap.nin_node_to_tasks
-    node_by_id = roadmap.node_by_id
+    nodes = roadmap.nodes
     veh_ids = roadmap.vehicle_ids
     basket = {t.id: 1 for t in roadmap.instance.tasks}
     holder = {}  # task -> (vehicle index, node id)
     for vi, tour in enumerate(tours):
         for nid in tour[1:-1]:
-            holder[node_by_id[nid].cluster] = (vi, nid)
+            holder[nodes[nid].cluster] = (vi, nid)
             for t in nin_of[nid]:
                 basket[t] += 1
     deleted = []

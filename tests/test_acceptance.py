@@ -102,19 +102,19 @@ class TestAcceptance:
     def test_04_decode_fidelity(self, worked_example, pruning_example):
         _, rm, chrom = worked_example
         ts = decode(chrom, rm)
-        labels = [[(rm.node_by_id[n].cluster, rm.node_by_id[n].index_in_cluster)
+        labels = [[(rm.nodes[n].cluster, rm.nodes[n].index_in_cluster)
                    for n in tour] for tour in ts.tours]
         decode_ok = (labels[0] == [(-1, 1), (1, 1), (2, 3), (3, 3), (-2, 1)]
                      and labels[1] == [(-1, 1), (4, 2), (5, 1), (-2, 1)])
 
         _, rm4, chrom4 = pruning_example
         ts4 = decode(chrom4, rm4)
-        order = [(rm4.node_by_id[n].vehicle, rm4.node_by_id[n].cluster) for n in ts4.deleted]
+        order = [(rm4.nodes[n].vehicle, rm4.nodes[n].cluster) for n in ts4.deleted]
         trace_ok = order == [(1, 2), (2, 5), (1, 3)]
         visited, crossed = set(), set()
         for tour in ts4.tours:
             for nid in tour[1:-1]:
-                visited.add(rm4.node_by_id[nid].cluster)
+                visited.add(rm4.nodes[nid].cluster)
                 crossed.update(rm4.nin_node_to_tasks[nid])
         baskets_ok = all(
             (1 if t.id in visited else 0)

@@ -197,9 +197,17 @@ class TestSolve:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("solve error: ")
 
-    def test_refine_without_nin_is_usage_error(self, tiny_file):
+    def test_refine_without_nin_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nonin.json"
+        path.write_text(random_tiny_instance(6, nin=False).to_json())
+        assert main(["solve", str(path), "--refine"]) == EXIT_USAGE
+        assert "generate --nin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--nin", "--no-nin"])
+    def test_solve_has_no_crossing_switch(self, tiny_file, flag):
+        # the instance file's nin_enabled is the one crossing switch
         _, path = tiny_file
-        assert main(["solve", str(path), "--no-nin", "--refine"]) == EXIT_USAGE
+        assert main(["solve", str(path), flag]) == EXIT_USAGE
 
     @pytest.mark.parametrize("method", ["oracle", "milp-export"])
     def test_refine_with_other_method_is_usage_error(self, tiny_file, tmp_path, method, capsys):
@@ -234,11 +242,10 @@ class TestSolve:
         assert main(["solve", str(path), "--time-limit", limit]) == EXIT_USAGE
         assert "--time-limit" in capsys.readouterr().err
 
-    def test_nin_flag_overrides_instance(self, tmp_path, capsys):
-        inst = random_tiny_instance(9)
+    def test_crossings_off_instance_solves_as_nonin(self, tmp_path, capsys):
         path = tmp_path / "t.json"
-        path.write_text(inst.to_json())
-        assert main(["solve", str(path), "--method", "ma", "--no-nin"]) == EXIT_OK
+        path.write_text(random_tiny_instance(9, nin=False).to_json())
+        assert main(["solve", str(path), "--method", "ma"]) == EXIT_OK
         assert "MA-noNIN" in capsys.readouterr().out
 
     def test_ma_wall_time_includes_roadmap_build(self, tiny_file, monkeypatch, capsys):

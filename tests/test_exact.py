@@ -144,12 +144,14 @@ class TestFindSubtours:
         crosses the one task no walk covers, is still reported: the uncut
         model accepts this candidate, so only separation can reject it."""
         _, rm, _ = pruning_example
-        n1, n5 = rm.node(1, 1, 1).id, rm.node(2, 5, 1).id
+        n3, n4 = rm.node(1, 3, 1).id, rm.node(2, 4, 1).id
         c2, c5 = rm.node(1, 2, 1).id, rm.node(1, 5, 1).id
-        assert rm.nin_node_to_tasks[n1] == {2, 3} and rm.nin_node_to_tasks[c5] == {4}
+        assert (n3, n4, c2, c5) == (4, 12, 3, 6)
+        assert rm.nin_node_to_tasks[n3] == {2} and rm.nin_node_to_tasks[n4] == {5}
+        assert rm.nin_node_to_tasks[c2] == {1} and rm.nin_node_to_tasks[c5] == {4}
         y = {s.id: 0 for s in rm.nodes}
         x = {}
-        for veh, nid in ((1, n1), (2, n5)):  # the walks cover tasks 1, 2, 3 and 5
+        for veh, nid in ((1, n3), (2, n4)):  # the walks cover tasks 2, 3, 4 and 5
             depot, term = rm.node(veh, DEPOT, 1).id, rm.node(veh, TERMINAL, 1).id
             for s in (depot, nid, term):
                 y[s] = 1
@@ -186,7 +188,7 @@ class TestFindSubtours:
         for rm, cycles in cases:
             want = []
             for cycle in cycles:
-                veh = rm.node_by_id[cycle[0]].vehicle
+                veh = rm.nodes[cycle[0]].vehicle
                 local = [s.id for s in rm.nodes if s.vehicle == veh]
                 for s in cycle:
                     row = {f"x_{a}_{b}": 1.0 for a in local for b in local
@@ -231,7 +233,7 @@ class TestBruteForce:
         _, rm, _ = pruning_example
         opt = solve_bruteforce(rm)
         assert coverage_ok(opt, rm)
-        visited = [rm.node_by_id[n].cluster for tour in opt.tours for n in tour[1:-1]]
+        visited = [rm.nodes[n].cluster for tour in opt.tours for n in tour[1:-1]]
         assert len(visited) < rm.n_tasks  # at least one task served by crossing
 
     def test_leaf_guard_raises(self):

@@ -17,7 +17,7 @@ def crossings_off_twin(roadmap):
 
 
 def tour_labels(tourset, roadmap):
-    return [[(roadmap.node_by_id[n].cluster, roadmap.node_by_id[n].index_in_cluster)
+    return [[(roadmap.nodes[n].cluster, roadmap.nodes[n].index_in_cluster)
              for n in tour] for tour in tourset.tours]
 
 
@@ -86,7 +86,7 @@ class TestEvaluate:
             costs = [rng.uniform(0, 1000) for _ in range(m)]
             alpha = rng.random()
             want = alpha * sum(costs) / m + (1 - alpha) * max(costs)
-            assert evaluate(costs, alpha, m) == pytest.approx(want, rel=1e-12)
+            assert evaluate(costs, alpha) == pytest.approx(want, rel=1e-12)
 
 
 class TestDecodeNin:
@@ -95,7 +95,7 @@ class TestDecodeNin:
         task5's, then task3's, and stops with full coverage."""
         _, rm, chrom = pruning_example
         ts = decode(chrom, rm)
-        deleted_labels = [(rm.node_by_id[n].vehicle, rm.node_by_id[n].cluster)
+        deleted_labels = [(rm.nodes[n].vehicle, rm.nodes[n].cluster)
                           for n in ts.deleted]
         assert deleted_labels == [(1, 2), (2, 5), (1, 3)]
         labels = tour_labels(ts, rm)
@@ -109,7 +109,7 @@ class TestDecodeNin:
         visited, crossed = set(), set()
         for tour in ts.tours:
             for nid in tour[1:-1]:
-                visited.add(rm.node_by_id[nid].cluster)
+                visited.add(rm.nodes[nid].cluster)
                 crossed.update(rm.nin_node_to_tasks[nid])
         for t in rm.instance.tasks:
             basket = (1 if t.id in visited else 0) + sum(
@@ -136,7 +136,7 @@ class TestDecodeNin:
         crosses nothing while task3's crosses one task, so task5 goes."""
         _, rm, chrom = pruning_example
         ts = decode(chrom, rm)
-        second = rm.node_by_id[ts.deleted[1]]
+        second = rm.nodes[ts.deleted[1]]
         assert (second.vehicle, second.cluster) == (2, 5)
 
     def test_coverage_on_random_chromosomes(self):

@@ -44,8 +44,8 @@ class TestReverseSegment:
         out = reverse_segment(chrom, 3, 6)
         validate_chromosome(out, rm)
         ts = decode(out, rm)
-        assert [rm.node_by_id[n].cluster for n in ts.tours[0][1:-1]] == [1, 2, 5, 4]
-        assert [rm.node_by_id[n].cluster for n in ts.tours[1][1:-1]] == [3]
+        assert [rm.nodes[n].cluster for n in ts.tours[0][1:-1]] == [1, 2, 5, 4]
+        assert [rm.nodes[n].cluster for n in ts.tours[1][1:-1]] == [3]
 
     def test_out_of_bounds_rejected(self, example):
         _, _, chrom, _ = example
@@ -193,7 +193,7 @@ class TestSelect:
         a.cached_tours, b.cached_tours = TourSet((), (), 60.0), TourSet((), (), 100.0)
         counts = {60.0: 0, 100.0: 0}
         for _ in range(4000):
-            p, _q = select([a, b], 4.0, rng, ev)
+            p, _q = select([a, b], rng, ev)
             counts[ev.cost(p)] += 1
         assert counts[60.0] / 4000 == pytest.approx(0.8, abs=0.03)
 
@@ -205,7 +205,7 @@ class TestSelect:
             c.cached_tours = TourSet((), (), 50.0)
         hits = [0] * 4
         for _ in range(4000):
-            p, _q = select(pop, 4.0, rng, ev)
+            p, _q = select(pop, rng, ev)
             hits[pop.index(p)] += 1
         for h in hits:
             assert h / 4000 == pytest.approx(0.25, abs=0.035)
@@ -217,7 +217,7 @@ class TestSelect:
         for i, c in enumerate(pop):
             c.cached_tours = TourSet((), (), 10.0 + i)
         for _ in range(100):
-            p, q = select(pop, 4.0, rng, ev)
+            p, q = select(pop, rng, ev)
             assert ev.cost(p) != ev.cost(q)
 
 
@@ -274,40 +274,37 @@ def reference_crossover(parent1, parent2, share, rng):
 class TestCrossover:
     def test_identical_parents_reproduce_tours(self, example):
         _, rm, chrom, _ = example
-        child = crossover(chrom, chrom, MAParams(seed=0), random.Random(9))
+        child = crossover(chrom, chrom, random.Random(9))
         assert decode(child, rm).tours == decode(chrom, rm).tours
 
     def test_child_cluster_multiset_is_exact(self, example):
         _, rm, _, _ = example
         rng = random.Random(11)
-        params = MAParams(seed=0)
         for _ in range(100):
             p1 = random_chromosome(rm, rng)
             p2 = random_chromosome(rm, rng)
-            child = crossover(p1, p2, params, rng)
+            child = crossover(p1, p2, rng)
             validate_chromosome(child, rm)
             assert sorted(g for g in child.genes if g != 0) == list(range(1, rm.n_tasks + 1))
 
     def test_matches_reference_implementation(self, example):
         _, rm, chrom, _ = example
-        params = MAParams(seed=0)
         rng1 = random.Random(1234)
         rng2 = random.Random(1234)
         p2 = reverse_segment(chrom, 2, 5)
-        child = crossover(chrom, p2, params, rng1)
-        want = reference_crossover(chrom, p2, params.crossover_p1_share, rng2)
+        child = crossover(chrom, p2, rng1)
+        want = reference_crossover(chrom, p2, MAParams.crossover_p1_share, rng2)
         assert fields(child) == fields(want)
 
     def test_matches_reference_on_random_pairs(self, example):
         _, rm, _, _ = example
-        params = MAParams(seed=0)
         gen = random.Random(5)
         for trial in range(50):
             p1 = random_chromosome(rm, gen)
             p2 = random_chromosome(rm, gen)
             seed = gen.randint(0, 10 ** 9)
-            child = crossover(p1, p2, params, random.Random(seed))
-            want = reference_crossover(p1, p2, params.crossover_p1_share, random.Random(seed))
+            child = crossover(p1, p2, random.Random(seed))
+            want = reference_crossover(p1, p2, MAParams.crossover_p1_share, random.Random(seed))
             assert fields(child) == fields(want)
 
 
@@ -317,7 +314,7 @@ class TestImprove:
         rng = random.Random(3)
         chrom = random_chromosome(rm, rng)
         stats = ImproveStats()
-        improve(chrom, "I", MAParams(seed=0), ev, rng, stats)
+        improve(chrom, "I", ev, rng, stats)
         assert stats.attempts["global_2opt"] == 1
         assert stats.attempts["local_2opt"] == 1
         assert stats.attempts["sample_swap"] == 1
@@ -328,13 +325,12 @@ class TestImprove:
         rng = random.Random(4)
         chrom = random_chromosome(rm, rng)
         stats = ImproveStats()
-        params = MAParams(seed=0)
-        improve(chrom, "II", params, ev, rng, stats)
+        improve(chrom, "II", ev, rng, stats)
         for op in ("global_2opt", "local_2opt", "task_swap"):
-            assert stats.attempts[op] >= params.stagnation_streak_l2
-            assert stats.attempts[op] == stats.accepts[op] + params.stagnation_streak_l2 \
+            assert stats.attempts[op] >= MAParams.stagnation_streak_l2
+            assert stats.attempts[op] == stats.accepts[op] + MAParams.stagnation_streak_l2 \
                 or stats.attempts[op] > stats.accepts[op]
-        assert stats.attempts["sample_swap"] == params.sample_swap_repeats_l2
+        assert stats.attempts["sample_swap"] == MAParams.sample_swap_repeats_l2
 
     def test_levels_are_cost_monotone(self, example):
         _, rm, _, ev = example
@@ -343,7 +339,7 @@ class TestImprove:
             for _ in range(10):
                 chrom = random_chromosome(rm, rng)
                 before = ev.cost(chrom)
-                after = improve(chrom, level, MAParams(seed=0), ev, rng)
+                after = improve(chrom, level, ev, rng)
                 assert ev.cost(after) <= before + 1e-12
 
     def test_level2_not_worse_than_level1_same_seed(self, example):
@@ -354,8 +350,8 @@ class TestImprove:
         level1, level2 = [], []
         for s in range(20):
             chrom = random_chromosome(rm, random.Random(s))
-            out1 = improve(chrom, "I", MAParams(seed=0), ev, random.Random(99))
-            out2 = improve(chrom, "II", MAParams(seed=0), ev, random.Random(99))
+            out1 = improve(chrom, "I", ev, random.Random(99))
+            out2 = improve(chrom, "II", ev, random.Random(99))
             assert ev.cost(out1) <= ev.cost(chrom) + 1e-12
             assert ev.cost(out2) <= ev.cost(chrom) + 1e-12
             level1.append(ev.cost(out1))
@@ -368,13 +364,12 @@ class TestImprove:
         rng = random.Random(8)
         chrom = random_chromosome(rm, rng)
         for _ in range(60):
-            chrom = improve(chrom, "II", MAParams(seed=0), ev, rng)
+            chrom = improve(chrom, "II", ev, rng)
         settled_cost = ev.cost(chrom)
-        out = improve(chrom, "I", MAParams(seed=0), ev, rng)
+        out = improve(chrom, "I", ev, rng)
         assert ev.cost(out) == pytest.approx(settled_cost)
 
     def test_unknown_level_rejected(self, example):
         _, rm, _, ev = example
         with pytest.raises(ValueError):
-            improve(random_chromosome(rm, random.Random(0)), "III",
-                    MAParams(seed=0), ev, random.Random(0))
+            improve(random_chromosome(rm, random.Random(0)), "III", ev, random.Random(0))

@@ -127,7 +127,7 @@ class TestRun:
             chrom = random_chromosome(rm, rng)
             ts = decode(chrom, rm)
             assert ts.deleted == ()
-            assert [rm.node_by_id[n].cluster for n in ts.tours[0][1:-1]] == list(chrom.genes)
+            assert [rm.nodes[n].cluster for n in ts.tours[0][1:-1]] == list(chrom.genes)
 
     def test_history_json_export(self, mid_instance):
         _, rm = mid_instance
@@ -145,7 +145,7 @@ class TestRun:
         res = run(rm, MAParams(population_size=16, max_generations=20,
                                stagnation_limit=8, seed=2))
         assert res.best.deleted == ()
-        clusters = sorted(rm.node_by_id[n].cluster
+        clusters = sorted(rm.nodes[n].cluster
                           for tour in res.best.tours for n in tour[1:-1])
         assert clusters == [t.id for t in inst.tasks]
 

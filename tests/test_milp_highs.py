@@ -6,6 +6,8 @@ oracle solves: its optimum may sit below the oracle's, never above it.
 crossings on and off, so a change to the model that moves it fails here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,7 @@ OPTIMA = {
     (10, False): 3362.361720078408,
     (11, True): 1285.671032991451,
     (11, False): 1285.671032991451,
-    (12, True): 2350.0159822643705,
+    (12, True): 2351.470620390837,
     (12, False): 2562.912633439251,
     (13, True): 1495.9064606790294,
     (13, False): 1495.9064606790296,
@@ -95,3 +97,27 @@ def test_export_optimum_pinned_and_below_oracle(key, nin):
     assert res.status == 0
     assert res.fun == pytest.approx(OPTIMA[(key, nin)], rel=1e-7, abs=0.0)
     assert res.fun <= solve_bruteforce(rm).objective * (1.0 + 1e-9)
+
+
+def test_task_takes_at_most_one_node():
+    """Without its ``once_t`` rows the export's optimum on key 12 takes both
+    of task 1's nodes and sits 1.45 below the oracle's; with them it takes
+    one node per task, and that candidate breaks exactly ``once_t1``."""
+    rm = build_roadmap(random_tiny_instance(12))
+    model = export_milp(rm)
+    loose = dataclasses.replace(model, constraints=[row for row in model.constraints
+                                                    if not row[0].startswith("once_t")])
+    assert len(loose.constraints) == len(model.constraints) - rm.n_tasks
+
+    def own_nodes_taken(res, names):
+        y = dict(zip(names, res.x))
+        return {t.id: round(sum(y[f"y_{nid}"] for veh in rm.vehicle_ids
+                                for nid in rm.cluster_ids[(veh, t.id)]))
+                for t in rm.instance.tasks}
+
+    two_node = solve_export(loose)
+    assert own_nodes_taken(two_node, loose.variables())[1] == 2
+    assert model.check_assignment(dict(zip(loose.variables(), two_node.x))) == ["once_t1"]
+    one_node = solve_export(model)
+    assert max(own_nodes_taken(one_node, model.variables()).values()) <= 1
+    assert two_node.fun < one_node.fun <= solve_bruteforce(rm).objective * (1.0 + 1e-9)

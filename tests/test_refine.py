@@ -42,15 +42,15 @@ class TestBuildChain:
         chains = build_chain(ts, rm)
         assert len(chains) == 1
         assert [s.config for s in chains[0].states] == \
-            [rm.node_by_id[n].config for n in ts.tours[0]]
-        direct = {rm.node_by_id[n].cluster for n in ts.tours[0][1:-1]}
+            [rm.nodes[n].config for n in ts.tours[0]]
+        direct = {rm.nodes[n].cluster for n in ts.tours[0][1:-1]}
         assert all(s.cluster in direct for s in chains[0].states if s.kind == "task")
 
     def test_crossed_tasks_get_entry_states(self, pruning_example):
         inst, rm, chrom = pruning_example
         ts = decode(chrom, rm)
         chains = build_chain(ts, rm)
-        direct = {rm.node_by_id[n].cluster for tour in ts.tours for n in tour[1:-1]}
+        direct = {rm.nodes[n].cluster for tour in ts.tours for n in tour[1:-1]}
         total_states = sum(len(c.states) for c in chains)
         vehicles_with_tasks = len(chains)
         assert vehicles_with_tasks == 2
@@ -69,7 +69,7 @@ class TestBuildChain:
         v1 = chains[0]
         assert v1.states[0].kind == "depot" and v1.states[-1].kind == "terminal"
         assert {s.cluster for s in v1.states if s.kind == "task"} == {1, 2, 3}
-        direct = [rm.node_by_id[n].cluster for n in ts.tours[0][1:-1]]
+        direct = [rm.nodes[n].cluster for n in ts.tours[0][1:-1]]
         assert direct == [1]
         assert [s.cluster for s in v1.states if s.cluster in direct] == [1]
 
@@ -87,7 +87,7 @@ class TestBuildChain:
             objective=ts.objective,
             deleted=(),
         )
-        kept_cluster = rm.node_by_id[forged.tours[0][1]].cluster
+        kept_cluster = rm.nodes[forged.tours[0][1]].cluster
         if kept_cluster != 1:
             pytest.skip("unexpected node order in fixture")
         with pytest.raises(RefineError):
@@ -112,13 +112,13 @@ def expected_chains(ts, rm):
     """
     inst = rm.instance
     tasks = {t.id: t for t in inst.tasks}
-    direct = {rm.node_by_id[n].cluster for tour in ts.tours for n in tour[1:-1]}
+    direct = {rm.nodes[n].cluster for tour in ts.tours for n in tour[1:-1]}
     legs = []  # (vehicle index, leg index, densified poses, sensing range)
     for vi, (veh, tour) in enumerate(zip(inst.vehicles, ts.tours)):
         if len(tour) <= 2:
             continue
         for li, (a, b) in enumerate(zip(tour, tour[1:])):
-            path = dubins_shortest_path(rm.node_by_id[a].config, rm.node_by_id[b].config,
+            path = dubins_shortest_path(rm.nodes[a].config, rm.nodes[b].config,
                                         veh.r_min)
             legs.append((vi, li, sample_path(path, veh.r_min * ENTRY_SPACING_FRACTION),
                          veh.sensing_range))
@@ -133,12 +133,12 @@ def expected_chains(ts, rm):
     for vi, tour in enumerate(ts.tours):
         if len(tour) <= 2:
             continue
-        first = rm.node_by_id[tour[0]]
+        first = rm.nodes[tour[0]]
         chain = [(first.cluster, first.config, None)]
         for li, b in enumerate(tour[1:]):
             for _, t, pose, rad in sorted(crossed.get((vi, li), [])):
                 chain.append((t, pose, Disk(tasks[t].center, rad)))
-            node = rm.node_by_id[b]
+            node = rm.nodes[b]
             disk = Disk(tasks[node.cluster].center, tasks[node.cluster].radius) \
                 if node.cluster > 0 else None
             chain.append((node.cluster, node.config, disk))

@@ -44,8 +44,8 @@ class TestGenerateSamples:
     def test_endpoint_nodes_at_fixed_positions(self, small_roadmap):
         inst, rm = small_roadmap
         for veh in inst.vehicles:
-            (d,) = [rm.node_by_id[n] for n in rm.cluster_ids[(veh.id, DEPOT)]]
-            (t,) = [rm.node_by_id[n] for n in rm.cluster_ids[(veh.id, TERMINAL)]]
+            (d,) = [rm.nodes[n] for n in rm.cluster_ids[(veh.id, DEPOT)]]
+            (t,) = [rm.nodes[n] for n in rm.cluster_ids[(veh.id, TERMINAL)]]
             assert (d.config.x, d.config.y) == veh.depot
             assert (t.config.x, t.config.y) == veh.terminal
 
@@ -224,3 +224,16 @@ class TestNinTables:
                                       cy + r * math.sin(a) - tasks[t].center[1])
                            for a in angles)
                 assert dmin <= veh.sensing_range + r * 2 * math.pi / 720
+
+
+class TestRoadmapAssembly:
+    def test_node_id_off_its_index_raises_value_error(self):
+        inst = build_instance([(500.0, 0.0)], n_vehicles=1, samples_per_cluster=1,
+                              velocity=50, depots=[(0.0, 0.0)], seed=2)
+        nodes = [
+            SampleNode(0, 1, DEPOT, 1, Config(0.0, 0.0, 0.0)),
+            SampleNode(1, 1, TERMINAL, 1, Config(0.0, 0.0, 0.0)),
+            SampleNode(3, 1, 1, 1, Config(500.0, 0.0, 0.0)),
+        ]
+        with pytest.raises(ValueError, match="node 3 sits at index 2"):
+            manual_roadmap(inst, nodes)
