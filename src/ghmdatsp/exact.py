@@ -2,8 +2,10 @@
 
 The model mirrors the roadmap exactly: binary y per node, binary x per
 permitted edge, plus one continuous variable linearizing the max-cost term.
-Subtour-elimination rows are not enumerated up front; :func:`find_subtours`
-separates violated ones from integral candidates so they can be added lazily.
+Subtour-elimination rows are not enumerated up front: :func:`find_subtours`
+returns every cycle off the depot walks of an integral candidate, leaving
+coverage to the rows, and :func:`subtour_cut_rows` makes cut-set rows of them;
+the tests solve, separate and cut until no cycle is left, and reach the oracle.
 
 The brute-force solver is intended for desk-scale validation only and is
 exact: over every coverage-feasible assignment it takes the cheapest visit
@@ -201,10 +203,10 @@ class RelaxedSolution:
 def find_subtours(relaxed: RelaxedSolution, roadmap: Roadmap) -> list[tuple[int, ...]]:
     """Separation pass over an integral candidate.
 
-    Walks each vehicle's chain from its chosen depot node, ticking off the
-    tasks it visits and the tasks its chosen nodes necessarily cross.  If tasks
-    remain, every closed x-path off the walks is returned, since any of them may
-    cross a remaining task; an empty list certifies the candidate connected and covering.
+    Walks each vehicle's chain from its chosen depot node and returns every
+    closed x-path off the walks; coverage is left to the ``cover_t`` and
+    ``once_t`` rows.  For a candidate that meets the degree rows, ``[]``
+    certifies every chosen node on its vehicle's walk.
     """
     nodes = roadmap.nodes
     succ: dict[int, int] = {}
@@ -216,7 +218,6 @@ def find_subtours(relaxed: RelaxedSolution, roadmap: Roadmap) -> list[tuple[int,
                 raise MalformedSolutionError(f"node {a} has two outgoing selected edges")
             succ[a] = b
 
-    unvisited = {t.id for t in roadmap.instance.tasks}
     walked: set[int] = set()
     for veh in roadmap.instance.vehicles:
         depot_nodes = [nid for nid in roadmap.cluster_ids[(veh.id, DEPOT)] if relaxed.y.get(nid)]
@@ -225,27 +226,16 @@ def find_subtours(relaxed: RelaxedSolution, roadmap: Roadmap) -> list[tuple[int,
                 f"vehicle {veh.id}: expected exactly one chosen depot node, got {len(depot_nodes)}")
         cur = depot_nodes[0]
         walked.add(cur)
-        steps = 0
-        while True:
+        for _ in nodes:  # a walk that reaches its terminal repeats no node
+            if nodes[cur].cluster == TERMINAL:
+                break
             if cur not in succ:
-                if nodes[cur].cluster == TERMINAL:
-                    break
                 raise MalformedSolutionError(
                     f"vehicle {veh.id}: walk stalls at node {cur} before a terminal")
             cur = succ[cur]
             walked.add(cur)
-            steps += 1
-            if steps > len(roadmap.nodes):
-                raise MalformedSolutionError(f"vehicle {veh.id}: walk never reaches a terminal")
-            cluster = nodes[cur].cluster
-            if cluster == TERMINAL:
-                break
-            unvisited.discard(cluster)
-            if relaxed.y.get(cur) == 1:
-                unvisited.difference_update(roadmap.nin_node_to_tasks[cur])
-
-    if not unvisited:
-        return []
+        else:
+            raise MalformedSolutionError(f"vehicle {veh.id}: walk never reaches a terminal")
 
     subtours: list[tuple[int, ...]] = []
     seen: set[int] = set()
@@ -271,20 +261,30 @@ def find_subtours(relaxed: RelaxedSolution, roadmap: Roadmap) -> list[tuple[int,
 
 
 def subtour_cut_rows(subtours, roadmap: Roadmap) -> list[tuple[str, dict[str, float], str, float]]:
-    """One generalized cut row per (cycle, member node): crossing edges >= 2y."""
+    """Cut-set rows x(δ(S)) >= 2 y_s, one per (cycle, member node s).
+
+    S is every node of the cycle's vehicle in one of the cycle's task
+    clusters, δ(S) every permitted edge with exactly one end in S (Fischetti,
+    Salazar González and Toth, Operations Research 1997).  A tour through a
+    node of S runs between a depot and a terminal outside S, so it enters and
+    leaves S: the rows cut off the cycle and no tour.
+    """
     li = roadmap.local_index
     rows = []
     for cycle in subtours:
-        cyc = set(cycle)
         veh = roadmap.nodes[cycle[0]].vehicle
         cost = roadmap.cost_lists[veh]
-        outside = [(li[t.id], t.id) for t in roadmap.nodes if t.vehicle == veh and t.id not in cyc]
-        for s in cycle:  # s's edges are its column and row of the cost table
-            i = li[s]
-            row = {_xvar(t, s): 1.0 for j, t in outside if math.isfinite(cost[j][i])}
-            row.update((_xvar(s, t), 1.0) for j, t in outside if math.isfinite(cost[i][j]))
-            row[_yvar(s)] = -2.0
-            rows.append((f"cut_{'_'.join(map(str, cycle))}_s{s}", row, ">=", 0.0))
+        tasks = {roadmap.nodes[s].cluster for s in cycle}
+        outside = [(li[t], t) for cluster, ids in roadmap.ids_by_vehicle[veh].items()
+                   if cluster not in tasks for t in ids]
+        cut: dict[str, float] = {}
+        for task in tasks:
+            for s in roadmap.cluster_ids[(veh, task)]:  # s's edges are its column and row
+                i = li[s]
+                cut.update((_xvar(t, s), 1.0) for j, t in outside if math.isfinite(cost[j][i]))
+                cut.update((_xvar(s, t), 1.0) for j, t in outside if math.isfinite(cost[i][j]))
+        name = "_".join(map(str, cycle))
+        rows.extend((f"cut_{name}_s{s}", {**cut, _yvar(s): -2.0}, ">=", 0.0) for s in cycle)
     return rows
 
 

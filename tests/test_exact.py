@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from ghmdatsp.exact import (MalformedSolutionError, RelaxedSolution, SizeLimitError,
-                            export_milp, find_subtours, solve_bruteforce, subtour_cut_rows)
+from ghmdatsp.exact import (MalformedSolutionError, MilpModel, RelaxedSolution,
+                            SizeLimitError, export_milp, find_subtours, solve_bruteforce,
+                            subtour_cut_rows)
 from ghmdatsp.geometry import Config
 from ghmdatsp.instance import build_instance
 from ghmdatsp.memetic import MAParams, run
@@ -119,9 +120,10 @@ class TestFindSubtours:
         assert len(found) == 1
         assert set(found[0]) == set(cycle)
 
-    def test_nin_covered_task_not_reported(self, pruning_example):
-        """Tasks crossed by a chosen walked node drop out of the unvisited set,
-        so an off-walk cycle over them is not reported."""
+    def test_superfluous_cycle_is_reported(self, pruning_example):
+        """A cycle off the walks is reported even when the walks already cover
+        its tasks: separation checks connectivity, and coverage is left to the
+        ``cover_t`` rows."""
         _, rm, _ = pruning_example
         n1, n4 = rm.node(1, 1, 1).id, rm.node(2, 4, 1).id
         assert (n1, n4) == (2, 12)
@@ -137,7 +139,7 @@ class TestFindSubtours:
         n2, n3 = rm.node(1, 2, 1).id, rm.node(1, 3, 1).id
         y[n2] = y[n3] = 1
         x[(n2, n3)] = x[(n3, n2)] = 1
-        assert find_subtours(RelaxedSolution(y, x), rm) == []
+        assert find_subtours(RelaxedSolution(y, x), rm) == [(3, 4)]
 
     def test_cycle_crossing_an_uncovered_task_is_reported(self, pruning_example):
         """A cycle whose own tasks the walks cover, and whose node alone
@@ -178,9 +180,22 @@ class TestFindSubtours:
             assert sense == ">=" and rhs == 0.0
             assert any(v.startswith("y_") and c == -2.0 for v, c in coeffs.items())
 
+    def test_cut_rows_hold_for_the_oracle_tour(self):
+        """Key 0's optimal tour 0-3-5-2-1 enters the cut set {3, 5} at node 3
+        and leaves it at node 5, so it meets both of that cycle's rows."""
+        rm = build_roadmap(random_tiny_instance(0))
+        opt = solve_bruteforce(rm)
+        assert opt.tours == ((0, 3, 5, 2, 1),)
+        values = RelaxedSolution.from_tourset(opt, rm).as_var_values(
+            rm, z=max(opt.per_vehicle_cost))
+        rows = subtour_cut_rows([(2, 4), (3, 5)], rm)
+        assert len(rows) == 4
+        assert MilpModel({}, rows, [], []).check_assignment(values) == []
+
     def test_cut_rows_match_pairwise_reference(self, triangle, pruning_example):
-        """Each member's row holds every permitted edge between it and a node
-        outside the cycle, found by walking every ordered node pair."""
+        """Each member's row holds every permitted edge with exactly one end
+        in the cycle's task clusters of its vehicle, found by walking every
+        ordered node pair."""
         _, fig4, _ = pruning_example
         cases = [(triangle, [self._planted(triangle)[1]]),
                  (fig4, [tuple(fig4.node(1, t, 1).id for t in (2, 4, 5)),
@@ -189,13 +204,14 @@ class TestFindSubtours:
             want = []
             for cycle in cycles:
                 veh = rm.nodes[cycle[0]].vehicle
-                local = [s.id for s in rm.nodes if s.vehicle == veh]
+                local = [s for s in rm.nodes if s.vehicle == veh]
+                tasks = {rm.nodes[s].cluster for s in cycle}
+                cut = {f"x_{a.id}_{b.id}": 1.0 for a in local for b in local
+                       if (a.cluster in tasks) != (b.cluster in tasks)
+                       and math.isfinite(rm.edge_cost(veh, a.id, b.id))}
                 for s in cycle:
-                    row = {f"x_{a}_{b}": 1.0 for a in local for b in local
-                           if s in (a, b) and (a in cycle) != (b in cycle)
-                           and math.isfinite(rm.edge_cost(veh, a, b))}
-                    row[f"y_{s}"] = -2.0
-                    want.append((f"cut_{'_'.join(map(str, cycle))}_s{s}", row, ">=", 0.0))
+                    want.append((f"cut_{'_'.join(map(str, cycle))}_s{s}",
+                                 {**cut, f"y_{s}": -2.0}, ">=", 0.0))
             assert subtour_cut_rows(cycles, rm) == want
 
 
