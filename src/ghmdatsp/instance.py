@@ -97,7 +97,7 @@ def _check_keys(doc, keys: dict[str, str], where: str, optional=_OPTIONAL_KEYS) 
 
 @dataclass(frozen=True)
 class Task:
-    """A task disk: visiting any pose inside it completes the task."""
+    """A task disk; vehicle k serves it from within ``min(radius, k's sensing_range)``."""
 
     id: int
     center: tuple[float, float]
@@ -267,8 +267,8 @@ def build_instance(
     Task centers default to the bundled bays29 point set.  Depots are taken
     in order from the default list; each terminal coincides with its depot,
     which closes the tours.  Scalar vehicle parameters broadcast across the
-    fleet.  Every vehicle has the default load factor and gravity, and every
-    task disk the first vehicle's sensing range.
+    fleet.  Every vehicle has the default load factor and gravity; every
+    task's radius is the largest sensing range, so each range takes effect.
     """
     if task_centers is None:
         task_centers = builtin_task_centers()
@@ -297,7 +297,7 @@ def build_instance(
         raise InstanceError(f"depots: expected {n_vehicles} values, got {len(ends)}")
 
     tasks = tuple(
-        Task(id=i + 1, center=(float(x), float(y)), radius=ranges[0])
+        Task(id=i + 1, center=(float(x), float(y)), radius=max(ranges))
         for i, (x, y) in enumerate(task_centers)
     )
     vehicles = tuple(

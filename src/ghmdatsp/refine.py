@@ -25,7 +25,7 @@ import numpy as np
 from .geometry import Config, Disk, dubins_shortest_path, sample_path
 from .instance import VehicleSpec
 from .memetic import TourSet, evaluate
-from .roadmap import DEPOT, Roadmap
+from .roadmap import DEPOT, Roadmap, service_disks
 
 
 class RefineError(RuntimeError):
@@ -86,10 +86,6 @@ class RefineResult:
     #: total cost before refinement, then after every half-sweep
     cost_trace: list[float] = field(default_factory=list)
 
-    @property
-    def converged(self) -> bool:
-        return self.stop_reason == "converged"
-
 
 def _leg_cost(a: Config, b: Config, veh: VehicleSpec, metric: str) -> float:
     length = dubins_shortest_path(a, b, veh.r_min).length
@@ -107,13 +103,13 @@ def build_chain(tourset: TourSet, roadmap: Roadmap) -> list[WaypointChain]:
 
     Directly visited tasks contribute their sample pose.  A task with no
     node left in any tour is attached to the first vehicle whose densified
-    path enters its sensing disk, at the pose of first entry; if no path
+    path enters its service disk, at the pose of first entry; if no path
     enters, the crossing bookkeeping and the geometry disagree and
-    :class:`RefineError` is raised.
+    :class:`RefineError` is raised.  A task state's region is that disk.
     """
     inst = roadmap.instance
     nodes = roadmap.nodes
-    task_by_id = {t.id: t for t in inst.tasks}
+    disks = service_disks(inst)
     direct = {nodes[nid].cluster for tour in tourset.tours for nid in tour[1:-1]}
     unplaced = [t.id for t in inst.tasks if t.id not in direct]
 
@@ -121,7 +117,7 @@ def build_chain(tourset: TourSet, roadmap: Roadmap) -> list[WaypointChain]:
     for veh, tour in zip(inst.vehicles, tourset.tours):
         if len(tour) <= 2:
             continue
-        radius = veh.sensing_range
+        disk_of = disks[veh.id]
         states = [ChainState(nodes[tour[0]].cluster, nodes[tour[0]].config)]
         for a, b in zip(tour, tour[1:]):
             # densify the leg once; every task not yet placed goes to its first entry
@@ -130,18 +126,16 @@ def build_chain(tourset: TourSet, roadmap: Roadmap) -> list[WaypointChain]:
             pts = np.array([[c.x, c.y] for c in poses])
             entries = []
             for t in list(unplaced):
-                cx, cy = task_by_id[t].center
+                (cx, cy), radius = disk_of[t].center, disk_of[t].radius
                 inside = np.nonzero(np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) <= radius + 1e-9)[0]
                 if inside.size:
                     entries.append((int(inside[0]), t))
                     unplaced.remove(t)
             for step, t in sorted(entries, key=lambda e: e[0]):
-                states.append(ChainState(t, poses[step], Disk(task_by_id[t].center, radius)))
+                states.append(ChainState(t, poses[step], disk_of[t]))
             node_b = nodes[b]
             if node_b.cluster > 0:
-                states.append(ChainState(node_b.cluster, node_b.config,
-                                         Disk(task_by_id[node_b.cluster].center,
-                                              task_by_id[node_b.cluster].radius)))
+                states.append(ChainState(node_b.cluster, node_b.config, disk_of[node_b.cluster]))
         states.append(ChainState(nodes[tour[-1]].cluster, nodes[tour[-1]].config))
         out.append(WaypointChain(veh.id, states))
     if unplaced:

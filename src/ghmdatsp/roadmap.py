@@ -43,32 +43,36 @@ class SampleNode:
     config: Config
 
 
+def service_disks(instance: Instance) -> dict[int, dict[int, Disk]]:
+    """``{vehicle id: {task id: disk}}``: vehicle k serves task t from the disk
+    around t's centre with the smaller of t's radius and k's sensing range.
+    Samples, crossings and refined states all read these disks."""
+    return {v.id: {t.id: Disk(t.center, min(t.radius, v.sensing_range)) for t in instance.tasks}
+            for v in instance.vehicles}
+
+
 def generate_samples(instance: Instance) -> list[SampleNode]:
     """Draw the sample nodes for every (vehicle, cluster) pair.
 
-    Task-cluster positions are uniform over the task disk with uniform
-    headings; each depot/terminal cluster holds exactly one node at the
+    Task-cluster positions are uniform over the vehicle's service disk with
+    uniform headings; each depot/terminal cluster holds exactly one node at the
     fixed position with a seeded random heading.  Deterministic per seed.
     """
     rng = np.random.default_rng(instance.seed)
-    nodes: list[SampleNode] = []
-    nid = 0
+    disks = service_disks(instance)
+    nodes: list[SampleNode] = []  # a node's id is its index
     for veh in instance.vehicles:
-        nodes.append(SampleNode(nid, veh.id, DEPOT, 1,
-                                Config(veh.depot[0], veh.depot[1], rng.uniform(0.0, TWO_PI))))
-        nid += 1
-        nodes.append(SampleNode(nid, veh.id, TERMINAL, 1,
-                                Config(veh.terminal[0], veh.terminal[1], rng.uniform(0.0, TWO_PI))))
-        nid += 1
-        for task in instance.tasks:
+        for cluster, (x, y) in ((DEPOT, veh.depot), (TERMINAL, veh.terminal)):
+            nodes.append(SampleNode(len(nodes), veh.id, cluster, 1,
+                                    Config(x, y, rng.uniform(0.0, TWO_PI))))
+        for task, disk in disks[veh.id].items():
             for i in range(instance.samples_per_cluster):
-                rad = task.radius * math.sqrt(rng.uniform(0.0, 1.0))
+                rad = disk.radius * math.sqrt(rng.uniform(0.0, 1.0))
                 ang = rng.uniform(0.0, TWO_PI)
-                cfg = Config(task.center[0] + rad * math.cos(ang),
-                             task.center[1] + rad * math.sin(ang),
+                cfg = Config(disk.center[0] + rad * math.cos(ang),
+                             disk.center[1] + rad * math.sin(ang),
                              rng.uniform(0.0, TWO_PI))
-                nodes.append(SampleNode(nid, veh.id, task.id, i + 1, cfg))
-                nid += 1
+                nodes.append(SampleNode(len(nodes), veh.id, task, i + 1, cfg))
     return nodes
 
 
@@ -110,16 +114,16 @@ def build_nin_tables(nodes: list[SampleNode], instance: Instance) -> dict[int, s
 
     For a task-cluster node s of vehicle k, task t != cluster(s) lands in
     the node's set exactly when both turning circles at s (radius r_min of
-    k) intersect the disk around t with vehicle k's sensing range.
+    k) intersect k's service disk of t.
     Depot/terminal nodes get empty sets, and so does every node when the
     instance has crossings off.
     """
     node_to_tasks: dict[int, set[int]] = {s.id: set() for s in nodes}
     if not instance.nin_enabled:
         return node_to_tasks
-    # the turn radius and the task disks depend on the vehicle alone
-    crossing = {v.id: (v.r_min, [(t.id, Disk(t.center, v.sensing_range)) for t in instance.tasks])
-                for v in instance.vehicles}
+    # the turn radius and the service disks depend on the vehicle alone
+    crossing = {v.id: (v.r_min, list(disks.items()))
+                for v, disks in zip(instance.vehicles, service_disks(instance).values())}
     for s in nodes:
         if s.cluster > 0:
             r_min, disks = crossing[s.vehicle]

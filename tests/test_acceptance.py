@@ -268,7 +268,7 @@ class TestAcceptance:
             res = refine([WaypointChain(1, states)], [veh], RefineParams())
             trace = res.cost_trace
             monotone &= all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
-            always_converged &= res.converged
+            always_converged &= res.stop_reason == "converged"
         chain = WaypointChain(1, [
             ChainState(-1, Config(0, 0, 0.5)),
             ChainState(1, Config(50, 5, 2.0), Disk((50.0, 0.0), 10.0)),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghmdatsp import cli, exact
 from ghmdatsp.geometry import Config, Disk, dubins_shortest_path, sample_path
 from ghmdatsp.instance import VehicleSpec, build_instance
 from ghmdatsp.memetic import MAParams, decode, random_chromosome, run
@@ -94,26 +95,39 @@ class TestBuildChain:
             build_chain(forged, rm)
 
 
+#: Sensing ranges of the four-vehicle fleet: one for all, or one each.
+FLEET_RANGES = {"one-range": 150.0, "multi-range": [150.0, 100.0, 120.0, 80.0]}
+
+
 @functools.cache
-def fleet_roadmap():
-    """bays29 with four vehicles of different speeds, built once for the module."""
+def fleet_roadmap(ranges):
+    """bays29 with four vehicles of different speeds, built once per range set."""
     return build_roadmap(build_instance(n_vehicles=4, samples_per_cluster=3,
-                                        velocity=[50.0, 60.0, 70.0, 80.0], seed=11))
+                                        velocity=[50.0, 60.0, 70.0, 80.0],
+                                        sensing_range=FLEET_RANGES[ranges], seed=11))
+
+
+def service_disk(task, veh):
+    """Where ``veh`` serves ``task``: within the task's radius and its own range."""
+    return Disk(task.center, min(task.radius, veh.sensing_range))
 
 
 def expected_chains(ts, rm):
     """The placement rule, worked out leg by leg from the densified paths.
 
     A crossed task belongs to the first vehicle (of those with tasks), first
-    leg and first sample step whose pose lies within that vehicle's sensing
-    range of the task centre.  Within a leg, crossed tasks come in step
-    order, ties in task-id order, before the leg's end node.  Each chain is
-    a list of (cluster, pose, disk) by vehicle id.
+    leg and first sample step whose pose lies in that vehicle's service disk
+    of the task.  Within a leg, crossed tasks come in step order, ties in
+    task-id order, before the leg's end node.  Every task state, crossed or
+    visited, keeps its vehicle's service disk.  Each chain is a list of
+    (cluster, pose, disk) by vehicle id.
     """
     inst = rm.instance
     tasks = {t.id: t for t in inst.tasks}
+    disks = {veh.id: {t: service_disk(task, veh) for t, task in tasks.items()}
+             for veh in inst.vehicles}
     direct = {rm.nodes[n].cluster for tour in ts.tours for n in tour[1:-1]}
-    legs = []  # (vehicle index, leg index, densified poses, sensing range)
+    legs = []  # (vehicle index, leg index, densified poses, service disks)
     for vi, (veh, tour) in enumerate(zip(inst.vehicles, ts.tours)):
         if len(tour) <= 2:
             continue
@@ -121,35 +135,35 @@ def expected_chains(ts, rm):
             path = dubins_shortest_path(rm.nodes[a].config, rm.nodes[b].config,
                                         veh.r_min)
             legs.append((vi, li, sample_path(path, veh.r_min * ENTRY_SPACING_FRACTION),
-                         veh.sensing_range))
-    crossed = {}  # (vehicle index, leg index) -> [(step, task id, pose, sensing range)]
+                         disks[veh.id]))
+    crossed = {}  # (vehicle index, leg index) -> [(step, task id, pose)]
     for t in sorted(set(tasks) - direct):
-        vi, li, step, pose, rad = next(
-            (vi, li, k, pose, rad) for vi, li, poses, rad in legs
+        vi, li, step, pose = next(
+            (vi, li, k, pose) for vi, li, poses, disk_of in legs
             for k, pose in enumerate(poses)
-            if math.dist((pose.x, pose.y), tasks[t].center) <= rad + 1e-9)
-        crossed.setdefault((vi, li), []).append((step, t, pose, rad))
+            if math.dist((pose.x, pose.y), disk_of[t].center) <= disk_of[t].radius + 1e-9)
+        crossed.setdefault((vi, li), []).append((step, t, pose))
     out = {}
     for vi, tour in enumerate(ts.tours):
         if len(tour) <= 2:
             continue
+        disk_of = disks[inst.vehicles[vi].id]
         first = rm.nodes[tour[0]]
         chain = [(first.cluster, first.config, None)]
         for li, b in enumerate(tour[1:]):
-            for _, t, pose, rad in sorted(crossed.get((vi, li), [])):
-                chain.append((t, pose, Disk(tasks[t].center, rad)))
+            for _, t, pose in sorted(crossed.get((vi, li), [])):
+                chain.append((t, pose, disk_of[t]))
             node = rm.nodes[b]
-            disk = Disk(tasks[node.cluster].center, tasks[node.cluster].radius) \
-                if node.cluster > 0 else None
-            chain.append((node.cluster, node.config, disk))
+            chain.append((node.cluster, node.config, disk_of.get(node.cluster)))
         out[inst.vehicles[vi].id] = chain
     return out
 
 
-@given(chrom_seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_crossed_tasks_go_to_first_entry(chrom_seed):
-    rm = fleet_roadmap()
+@given(ranges=st.sampled_from(list(FLEET_RANGES)),
+       chrom_seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_crossed_tasks_go_to_first_entry(ranges, chrom_seed):
+    rm = fleet_roadmap(ranges)
     ts = decode(random_chromosome(rm, random.Random(chrom_seed)), rm)
     want = expected_chains(ts, rm)
     chains = build_chain(ts, rm)
@@ -169,7 +183,7 @@ class TestRefine:
         ])
         res = refine([chain], [veh])
         assert res.per_chain_cost[0] <= 100.001
-        assert res.converged
+        assert res.stop_reason == "converged"
 
     def test_costs_monotone_across_sweeps(self):
         rng = random.Random(2)
@@ -227,7 +241,7 @@ class TestRefine:
                                          Disk((30.0 * t, 0.0), 9.0)))
             states.append(ChainState(-2, Config(120, 0, rng.uniform(0, 6.28))))
             res = refine([WaypointChain(1, states)], [veh], RefineParams(max_sweeps=60))
-            assert res.converged
+            assert res.stop_reason == "converged"
             assert res.sweeps < 60
 
     def test_refined_objective_keeps_empty_vehicle_costs(self, pruning_example):
@@ -274,7 +288,7 @@ class TestRefineBudget:
         want = [real_cost(c, specs[c.vehicle_id], "length") for c in chains]
         assert res.per_chain_cost == want
         assert res.cost_trace == [sum(want)]
-        assert (res.sweeps, res.stop_reason, res.converged) == (0, "time_limit", False)
+        assert (res.sweeps, res.stop_reason) == (0, "time_limit")
 
     def test_cut_keeps_every_finished_half_sweep(self, pruning_example, monkeypatch):
         # unbounded, this refinement converges after 9 sweeps; each slowed state
@@ -305,6 +319,51 @@ class TestRefineBudget:
         assert res.sweeps == (half_sweeps + 1) // 2
         longest_half_sweep = 5 * max(spent)
         assert elapsed <= budget + longest_half_sweep + 0.05
+
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
+
+
+def benchmark_files():
+    return {path: path.read_bytes() for path in BENCHMARK.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("ranges", [[150.0, 100.0], [100.0, 150.0]], ids=["150-100", "100-150"])
+def test_multi_range_documents_pass_the_checker(ranges, monkeypatch):
+    """With one range per vehicle, each vehicle's refined states stay in its
+    own service disks, and the benchmark's checker accepts a refined bays29
+    document and a tiny oracle document, the latter with the MILP check.
+    The checker is imported without writing bytecode; no benchmark file changes."""
+    before = benchmark_files()
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    check = importlib.import_module("check")
+
+    inst = build_instance(n_vehicles=2, samples_per_cluster=3, velocity=[50.0, 70.0],
+                          sensing_range=ranges, seed=3)
+    rm = build_roadmap(inst)
+    best = run(rm, MAParams(max_generations=3, seed=3)).best
+    res = refine(build_chain(best, rm), list(inst.vehicles))
+    tasks = {t.id: t for t in inst.tasks}
+    for chain in res.chains:
+        veh = inst.vehicles[chain.vehicle_id - 1]
+        for state in chain.states[1:-1]:
+            disk = service_disk(tasks[state.cluster], veh)
+            assert math.dist((state.config.x, state.config.y), disk.center) \
+                <= disk.radius + 1e-6
+    objective = refined_objective(res, best, inst.alpha, inst.n_vehicles)
+    doc = cli.tour_document(inst, rm, best, "MA-NIN-PR", objective, res)
+    check.check_document(check.Problem(inst), doc, best.objective)
+
+    centers = [(180.0, 320.0), (240.0, 950.0), (620.0, 260.0), (560.0, 880.0),
+               (1050.0, 330.0), (980.0, 920.0)]
+    tiny = build_instance(centers, n_vehicles=2, samples_per_cluster=2, velocity=50.0,
+                          depots=[(0.0, 0.0), (1200.0, 1200.0)], sensing_range=ranges, seed=7)
+    tiny_rm = build_roadmap(tiny)
+    oracle = exact.solve_bruteforce(tiny_rm)
+    oracle_doc = cli.tour_document(tiny, tiny_rm, oracle, "ORACLE", oracle.objective)
+    check.check_document(check.Problem(tiny), oracle_doc, oracle.objective, tiny_rm)
+    assert benchmark_files() == before
 
 
 # bays29's first eight tasks, one vehicle, refined with every scipy module blocked

@@ -113,7 +113,7 @@ def test_refinement_trace_matches_golden(vehicles, seed, metric):
     out = ours(vehicles, seed, metric)
     assert out.cost_trace == trace
     assert out.per_chain_cost == per_chain
-    assert (out.sweeps, out.converged) == (SWEEPS, False)
+    assert (out.sweeps, out.stop_reason == "converged") == (SWEEPS, False)
     assert pose_digest(out) == digest
 
 

@@ -226,6 +226,33 @@ class TestNinTables:
                 assert dmin <= veh.sensing_range + r * 2 * math.pi / 720
 
 
+class TestServiceDisks:
+    """Vehicle k samples and crosses task t within min(t's radius, k's range)."""
+
+    @pytest.mark.parametrize("ranges", [[150.0, 100.0], [100.0, 150.0]],
+                             ids=["150-100", "100-150"])
+    def test_samples_and_crossings_read_each_vehicles_disk(self, ranges):
+        inst = build_instance(n_vehicles=2, samples_per_cluster=3, velocity=[50.0, 70.0],
+                              sensing_range=ranges, seed=3)
+        rm = build_roadmap(inst)
+        specs = {v.id: v for v in inst.vehicles}
+        disk = {(v.id, t.id): Disk(t.center, min(t.radius, v.sensing_range))
+                for v in inst.vehicles for t in inst.tasks}
+        farthest = {v.id: 0.0 for v in inst.vehicles}  # largest share of the disk radius
+        for s in rm.nodes:
+            if s.cluster > 0:
+                d = disk[(s.vehicle, s.cluster)]
+                share = math.dist((s.config.x, s.config.y), d.center) / d.radius
+                farthest[s.vehicle] = max(farthest[s.vehicle], share)
+        assert all(0.9 < share <= 1.0 + 1e-12 for share in farthest.values()), farthest
+        want = {s.id: {t.id for t in inst.tasks
+                       if s.cluster > 0 and t.id != s.cluster
+                       and nin_check(s.config, specs[s.vehicle].r_min, disk[(s.vehicle, t.id)])}
+                for s in rm.nodes}
+        assert rm.nin_node_to_tasks == want
+        assert all(any(want[s.id] for s in rm.nodes if s.vehicle == k) for k in specs)
+
+
 class TestRoadmapAssembly:
     def test_node_id_off_its_index_raises_value_error(self):
         inst = build_instance([(500.0, 0.0)], n_vehicles=1, samples_per_cluster=1,
