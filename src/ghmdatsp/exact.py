@@ -106,7 +106,7 @@ def _xvar(s: int, s2: int) -> str:
 def _vehicle_edges(roadmap: Roadmap, veh_id: int):
     """Permitted (from, to, cost, x-variable name) edges of a vehicle."""
     locals_ = [s for s in roadmap.nodes if s.vehicle == veh_id]
-    for a, row in zip(locals_, roadmap.cost_lists[veh_id]):
+    for a, row in zip(locals_, roadmap.cost_rows[veh_id]):
         for b, c in zip(locals_, row):
             if math.isfinite(c):
                 yield a.id, b.id, c, _xvar(a.id, b.id)
@@ -273,10 +273,10 @@ def subtour_cut_rows(subtours, roadmap: Roadmap) -> list[tuple[str, dict[str, fl
     rows = []
     for cycle in subtours:
         veh = roadmap.nodes[cycle[0]].vehicle
-        cost = roadmap.cost_lists[veh]
+        cost = roadmap.cost_rows[veh]
         tasks = {roadmap.nodes[s].cluster for s in cycle}
-        outside = [(li[t], t) for cluster, ids in roadmap.ids_by_vehicle[veh].items()
-                   if cluster not in tasks for t in ids]
+        outside = [(li[t], t) for (k, cluster), ids in roadmap.cluster_ids.items()
+                   if k == veh and cluster not in tasks for t in ids]
         cut: dict[str, float] = {}
         for task in tasks:
             for s in roadmap.cluster_ids[(veh, task)]:  # s's edges are its column and row

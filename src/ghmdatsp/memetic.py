@@ -108,21 +108,21 @@ def evaluate(per_vehicle_cost, alpha: float) -> float:
 def _decode(chrom: Chromosome, roadmap: Roadmap) -> TourSet:
     """Split into node-id tours per vehicle, prune when the instance has
     crossings on, then cost (hot path, no validation)."""
-    ids_by_veh = roadmap.ids_by_vehicle
+    ids = roadmap.cluster_ids
     samples = chrom.samples
     vehicles = iter(roadmap.vehicle_ids)
-    ids = ids_by_veh[next(vehicles)]
-    tour = [ids[DEPOT][0]]
+    veh = next(vehicles)
+    tour = [ids[(veh, DEPOT)][0]]
     tours = [tour]
     for c in chrom.genes:
         if c:
-            tour.append(ids[c][samples[c] - 1])
+            tour.append(ids[(veh, c)][samples[c] - 1])
         else:  # a delimiter ends this vehicle's tour and starts the next one's
-            tour.append(ids[TERMINAL][0])
-            ids = ids_by_veh[next(vehicles)]
-            tour = [ids[DEPOT][0]]
+            tour.append(ids[(veh, TERMINAL)][0])
+            veh = next(vehicles)
+            tour = [ids[(veh, DEPOT)][0]]
             tours.append(tour)
-    tour.append(ids[TERMINAL][0])
+    tour.append(ids[(veh, TERMINAL)][0])
     # with crossings off every crossing set is empty and the pass would delete nothing
     deleted = _nin_reduce(tours, roadmap) if roadmap.instance.nin_enabled else ()
     return TourSet.from_tours(tours, roadmap, deleted)
@@ -167,7 +167,7 @@ def _nin_reduce(tours: list[list[int]], roadmap: Roadmap) -> list[int]:
             t = nodes[nid].cluster
             if basket[t] > 1:
                 ranked[t] = (vi, nid, nin_of[nid])
-    cost_rows = [roadmap.cost_lists[veh] for veh in roadmap.vehicle_ids]
+    cost_rows = [roadmap.cost_rows[veh] for veh in roadmap.vehicle_ids]
     local = roadmap.local_index
     saving: dict[int, float] = {}  # node id -> detour saving on the current tour
     deleted: list[int] = []
@@ -361,7 +361,6 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
     nin_of = rm.nin_node_to_tasks
     nodes = rm.nodes
     cluster_ids = rm.cluster_ids
-    cost_lists = rm.cost_lists
     local = rm.local_index
     veh_ids = rm.vehicle_ids
 
@@ -377,7 +376,7 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
     changed = False
     # a decoded tour holds its vehicle's unpruned task nodes in gene order
     for veh, tour in zip(veh_ids, tours):
-        cmat = cost_lists[veh]
+        cmat = rm.cost_rows[veh]
         for tp in range(1, len(tour) - 1):
             cur = tour[tp]
             c = nodes[cur].cluster

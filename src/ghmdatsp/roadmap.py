@@ -134,47 +134,48 @@ def build_nin_tables(nodes: list[SampleNode], instance: Instance) -> dict[int, s
 
 @dataclass
 class Roadmap:
-    """Immutable bundle of an instance's nodes, costs and NIN tables.
+    """Bundle of an instance's nodes, costs and NIN tables.
 
-    A node's id is its index in ``nodes``.  Raises ``ValueError`` unless
-    that holds and every vehicle has exactly one depot node and one
-    terminal node.
+    Raises ``ValueError`` unless a node's id is its index in ``nodes``, every
+    vehicle has exactly one depot node and one terminal node, and ``cost[k]``
+    is a float64 array of shape ``(n_k, n_k)`` over vehicle k's own nodes.
+    ``cost_rows[k][i]`` is a zero-copy view of row ``i`` of ``cost[k]``; the hot
+    loops read it, since a row view indexes faster than numpy or a 2-D view.
     """
 
     instance: Instance
     nodes: list[SampleNode]
     cost: dict[int, np.ndarray]
     nin_node_to_tasks: dict[int, set[int]]
-    local_index: dict[int, int] = field(init=False)
-    #: node ids of each (vehicle, cluster), in sample order; ``ids_by_vehicle``
-    #: nests the same lists by vehicle, then cluster
+    local_index: list[int] = field(init=False)
+    #: node ids of each (vehicle, cluster), in sample order
     cluster_ids: dict[tuple[int, int], list[int]] = field(init=False)
-    ids_by_vehicle: dict[int, dict[int, list[int]]] = field(init=False)
     vehicle_ids: tuple[int, ...] = field(init=False)
-    cost_lists: dict[int, list[list[float]]] = field(init=False)
+    cost_rows: dict[int, list[memoryview]] = field(init=False)
 
     def __post_init__(self):
         self.vehicle_ids = tuple(v.id for v in self.instance.vehicles)
-        self.local_index = {}
+        self.local_index = []
         counters: dict[int, int] = {}
         for i, s in enumerate(self.nodes):
             if s.id != i:
                 raise ValueError(f"node {s.id} sits at index {i}; a node's id must be its index")
-            self.local_index[s.id] = counters.get(s.vehicle, 0)
+            self.local_index.append(counters.get(s.vehicle, 0))
             counters[s.vehicle] = counters.get(s.vehicle, 0) + 1
-        self.ids_by_vehicle = {}
+        self.cluster_ids = {}
         for s in sorted(self.nodes, key=lambda s: s.index_in_cluster):
-            self.ids_by_vehicle.setdefault(s.vehicle, {}).setdefault(s.cluster, []).append(s.id)
-        self.cluster_ids = {(veh, cluster): ids for veh, by_cluster in self.ids_by_vehicle.items()
-                            for cluster, ids in by_cluster.items()}
+            self.cluster_ids.setdefault((s.vehicle, s.cluster), []).append(s.id)
         for veh in self.vehicle_ids:
             for cluster, name in ((DEPOT, "depot"), (TERMINAL, "terminal")):
                 count = len(self.cluster_ids.get((veh, cluster), ()))
                 if count != 1:
                     raise ValueError(f"vehicle {veh}: {name} cluster holds {count} nodes, "
                                      "expected exactly one")
-        # plain nested lists beat numpy scalar indexing in the hot loops
-        self.cost_lists = {k: m.tolist() for k, m in self.cost.items()}
+            mat, n = self.cost.get(veh), counters.get(veh, 0)
+            if not (isinstance(mat, np.ndarray) and mat.dtype == float and mat.shape == (n, n)):
+                raise ValueError(f"vehicle {veh}: cost table must be a float64 array of "
+                                 f"shape ({n}, {n}) over its own nodes")
+        self.cost_rows = {k: [memoryview(row) for row in self.cost[k]] for k in self.vehicle_ids}
 
     @property
     def n_tasks(self) -> int:
@@ -189,17 +190,17 @@ class Roadmap:
 
     def edge_cost(self, vehicle: int, a: int, b: int) -> float:
         """Cost between two global node ids of the same vehicle."""
-        return self.cost_lists[vehicle][self.local_index[a]][self.local_index[b]]
+        return self.cost_rows[vehicle][self.local_index[a]][self.local_index[b]]
 
     def tour_cost(self, vehicle: int, node_ids: list[int]) -> float:
         """Sum of edge costs along an ordered node-id sequence."""
-        cl = self.cost_lists[vehicle]
+        rows = self.cost_rows[vehicle]
         li = self.local_index
         total = 0.0
         prev = li[node_ids[0]]
         for nid in node_ids[1:]:
             cur = li[nid]
-            total += cl[prev][cur]
+            total += rows[prev][cur]
             prev = cur
         return total
 

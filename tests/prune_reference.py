@@ -14,15 +14,14 @@ from ghmdatsp.roadmap import DEPOT, TERMINAL
 
 def reference_decode(chrom, roadmap):
     """(tour set, deletions decided by the saving tie-break)."""
-    ids_by_veh = roadmap.ids_by_vehicle
+    ids = roadmap.cluster_ids
     genes, samples = chrom.genes, chrom.samples
     tours = []
     for veh, positions in zip(roadmap.vehicle_ids, _vehicle_task_positions(chrom)):
-        ids = ids_by_veh[veh]
-        tour = [ids[DEPOT][0]]
+        tour = [ids[(veh, DEPOT)][0]]
         for c in map(genes.__getitem__, positions):
-            tour.append(ids[c][samples[c] - 1])
-        tour.append(ids[TERMINAL][0])
+            tour.append(ids[(veh, c)][samples[c] - 1])
+        tour.append(ids[(veh, TERMINAL)][0])
         tours.append(tour)
     deleted, ties = [], 0
     if roadmap.instance.nin_enabled:

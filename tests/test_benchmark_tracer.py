@@ -6,10 +6,15 @@ reports zeros for that layer instead of failing.  This test traces two
 solves through ``benchmark/pipeline.py`` and checks that every counter and
 span the per-layer metrics read is fed, that ``restore`` puts each
 original attribute back, and that the runs' own decode counts match the
-tracer's.  It reads the benchmark's files and edits none.
+tracer's.  It also computes ``run.py``'s end-to-end and per-layer metrics
+from the two solves, which read the program's results and roadmaps, and
+checks that every metric ``BENCHMARK.json`` names is there and finite.  It
+reads the benchmark's files and edits none.
 """
 
 import importlib
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -31,11 +36,11 @@ SPANS = ["roadmap.build", "roadmap.samples", "roadmap.cost_table", "roadmap.nin_
 def bench(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCHMARK))
     return (importlib.import_module("tracing"), importlib.import_module("pipeline"),
-            importlib.import_module("workloads"))
+            importlib.import_module("workloads"), importlib.import_module("run"))
 
 
 def test_tracer_hooks_see_every_layer(bench):
-    tracing, pipeline, workloads = bench
+    tracing, pipeline, workloads, run = bench
     owners = [geometry, roadmap_mod, importlib.import_module("ghmdatsp.refine"), memetic,
               exact, roadmap_mod.Roadmap, memetic.Evaluator]
     before = [dict(vars(owner)) for owner in owners]
@@ -63,3 +68,11 @@ def test_tracer_hooks_see_every_layer(bench):
     assert sum(out.result.decodes for out in solved) == tracer.counts["decode.calls"]
     assert sum(out.result.pruned_nodes for out in solved) == tracer.counts["decode.pruned"]
     assert tracer.counts["decode.pruned"] > 0
+
+    declared = json.loads((BENCHMARK.parent / "BENCHMARK.json").read_text())
+    for group, metrics in (("end_to_end", run.end_to_end(solved, 0.0)),
+                           ("per_layer", run.per_layer(solved, tracer))):
+        names = [m["name"] for m in declared[group]]
+        assert [name for name in names if name not in metrics] == [], group
+        assert {name: metrics[name][0] for name in names
+                if not math.isfinite(metrics[name][0])} == {}, group

@@ -1,13 +1,15 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ghmdatsp.geometry import Config, Disk, dubins_shortest_path, nin_check
 from ghmdatsp.instance import build_instance
-from ghmdatsp.roadmap import (DEPOT, TERMINAL, SampleNode, build_cost_matrix, build_nin_tables,
-                              build_roadmap, generate_samples)
+from ghmdatsp.memetic import TourSet
+from ghmdatsp.roadmap import (DEPOT, TERMINAL, Roadmap, SampleNode, build_cost_matrix,
+                              build_nin_tables, build_roadmap, generate_samples)
 
 from conftest import manual_roadmap, on_one_turning_circle
 
@@ -264,3 +266,50 @@ class TestRoadmapAssembly:
         ]
         with pytest.raises(ValueError, match="node 3 sits at index 2"):
             manual_roadmap(inst, nodes)
+
+    @pytest.mark.parametrize("bad", ["short", "missing", "float32"])
+    def test_cost_table_off_its_vehicles_nodes_raises_value_error(self, bad):
+        inst = build_instance([(500.0, 0.0), (900.0, 300.0)], n_vehicles=2,
+                              samples_per_cluster=2, velocity=50,
+                              depots=[(0.0, 0.0), (1200.0, 0.0)], seed=2)
+        nodes = generate_samples(inst)
+        cost = build_cost_matrix(nodes, inst)
+        assert cost[1].shape == (6, 6)
+        if bad == "short":
+            cost[1] = cost[1][:5, :5]
+        elif bad == "missing":
+            del cost[2]
+        else:
+            cost[1] = cost[1].astype(np.float32)
+        with pytest.raises(ValueError, match="cost table must be a float64 array"):
+            Roadmap(inst, nodes, cost, build_nin_tables(nodes, inst))
+
+    def test_search_reads_the_one_cost_table(self, small_roadmap):
+        """An in-place edit of ``cost`` is what edges and tours cost."""
+        inst, _ = small_roadmap
+        rm = build_roadmap(inst)  # edited below, so not the shared one
+        k = inst.vehicles[0].id
+        depot, terminal = rm.cluster_ids[(k, DEPOT)][0], rm.cluster_ids[(k, TERMINAL)][0]
+        node = rm.cluster_ids[(k, 1)][1]
+        i, j, t = rm.local_index[depot], rm.local_index[node], rm.local_index[terminal]
+        rm.cost[k][i, j] = 12345.5
+        assert rm.edge_cost(k, depot, node) == 12345.5
+        tours = [[depot, node, terminal]] + [
+            rm.cluster_ids[(v, DEPOT)] + rm.cluster_ids[(v, TERMINAL)] for v in rm.vehicle_ids[1:]]
+        ts = TourSet.from_tours(tours, rm)
+        assert ts.per_vehicle_cost[0] == 12345.5 + rm.cost[k][j, t]
+
+    def test_roadmap_holds_its_tables_once(self):
+        """The fleet4-s10 shape's roadmap holds under 6 MB.  Its cost tables
+        take 2.7 MB; a roadmap that also kept them as nested float lists held
+        14.4 MB."""
+        inst = build_instance(n_vehicles=4, samples_per_cluster=10,
+                              velocity=[50.0, 60.0, 70.0, 80.0], alpha=0.5, seed=1000)
+        tracemalloc.start()
+        try:
+            rm = build_roadmap(inst)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(m.nbytes for m in rm.cost.values()) > 2.5e6
+        assert held < 6e6, f"roadmap holds {held / 1e6:.1f} MB"
