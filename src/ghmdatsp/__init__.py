@@ -16,8 +16,7 @@ from .memetic import (Chromosome, Evaluator, MAParams, MAResult, TourSet,
                       init_population, run, select)
 from .roadmap import (DEPOT, TERMINAL, Roadmap, SampleNode, build_cost_matrix,
                       build_nin_tables, build_roadmap, generate_samples)
-from .refine import (ChainState, RefineParams, RefineResult, WaypointChain,
-                     build_chain, refine)
+from .refine import ChainState, RefineParams, RefineResult, WaypointChain, build_chain
 from .exact import (MilpModel, RelaxedSolution, export_milp, find_subtours,
                     solve_bruteforce)
 
@@ -31,8 +30,7 @@ __all__ = [
     "Chromosome", "Evaluator", "MAParams", "MAResult", "TourSet",
     "crossover", "decode", "evaluate", "improve",
     "init_population", "run", "select",
-    "ChainState", "RefineParams", "RefineResult", "WaypointChain",
-    "build_chain", "refine",
+    "ChainState", "RefineParams", "RefineResult", "WaypointChain", "build_chain",
     "MilpModel", "RelaxedSolution", "export_milp", "find_subtours",
     "solve_bruteforce",
 ]

@@ -181,32 +181,33 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-#: Share of a ``--refine`` solve's time limit that the search may spend before
-#: refinement starts.  On bays29 (m=1, s=5) tripling the search's budget from
-#: 1 s to 3 s lowered its best by 2%, while the first two refinement half-sweeps
-#: (about 0.3 s on a 2-core host) lowered the objective by 10%, so neither stage
-#: should take all of it.
+#: Share of a ``--refine`` solve's time limit left after the roadmap build that
+#: the search may spend before refinement starts.  On bays29 (m=1, s=5)
+#: tripling the search's budget from 1 s to 3 s lowered its best by 2%, while
+#: the first two refinement half-sweeps (about 0.3 s on a 2-core host) lowered
+#: the objective by 10%, so neither stage should take all of it.
 SEARCH_SHARE = 0.5
 
 
-def _run_ma(roadmap: Roadmap, params: MAParams, refine_best: bool):
+def _run_ma(roadmap: Roadmap, params: MAParams, refine_best: bool, t0: float):
     """Memetic search, then refinement of its best tours when asked.
 
-    ``params.time_limit_s`` bounds both: its clock starts with the search,
-    after the roadmap is built.  When refining, the search stops once
-    ``SEARCH_SHARE`` of it has passed and refinement gets the rest.
-    Returns the search result, the refinement result, the objective of the
-    final tours and why refinement was dropped (None when it was not).  A
-    refinement that ends above the search's best is dropped: the node tours
-    stand, and the refinement result is None, as when not refining.
+    ``params.time_limit_s`` bounds both, on a clock that started at ``t0``,
+    before the roadmap was built.  The search gets ``SEARCH_SHARE`` of the
+    time then left when refining, all of it otherwise, and refinement gets
+    the rest.  Returns the search result, the refinement result, the
+    objective of the final tours and why refinement was dropped (None when
+    it was not).  A refinement that ends above the search's best is
+    dropped: the node tours stand, and the refinement result is None, as
+    when not refining.
     """
-    t0 = time.monotonic()
-    if not refine_best:
-        result = memetic.run(roadmap, params)
-        return result, None, result.best_cost, None
     limit = params.time_limit_s
-    result = memetic.run(roadmap, params if limit is None
-                         else replace(params, time_limit_s=SEARCH_SHARE * limit))
+    if limit is not None:
+        left = max(0.0, limit - (time.monotonic() - t0))
+        params = replace(params, time_limit_s=SEARCH_SHARE * left if refine_best else left)
+    result = memetic.run(roadmap, params)
+    if not refine_best:
+        return result, None, result.best_cost, None
     inst = roadmap.instance
     left = None if limit is None else limit - (time.monotonic() - t0)
     refine_result = refine(build_chain(result.best, roadmap), list(inst.vehicles),
@@ -246,7 +247,7 @@ def cmd_solve(args) -> int:
         else:
             params = MAParams(seed=inst.seed if args.seed is None else args.seed,
                               time_limit_s=args.time_limit)
-            result, refine_result, objective, dropped = _run_ma(roadmap, params, args.refine)
+            result, refine_result, objective, dropped = _run_ma(roadmap, params, args.refine, t0)
             tourset = result.best
             method = ("MA-NIN-PR" if refine_result is not None
                       else "MA-NIN" if inst.nin_enabled else "MA-noNIN")
@@ -340,7 +341,7 @@ def _bench_cell(m, s, method, seed, velocity, alpha, sensing, metric):
         sensing_range=sensing, cost_metric=metric, nin_enabled=nin, seed=seed)
     t0 = time.monotonic()
     roadmap = build_roadmap(inst)
-    _, _, objective, _ = _run_ma(roadmap, MAParams(seed=seed), method.endswith("-PR"))
+    _, _, objective, _ = _run_ma(roadmap, MAParams(seed=seed), method.endswith("-PR"), t0)
     return objective, time.monotonic() - t0
 
 

@@ -112,7 +112,7 @@ def _dubins_words(alpha, beta, d):
     if p_sq >= 0.0:
         p = math.sqrt(p_sq)
         tmp = math.atan2(-ca - cb, d + sa + sb) - math.atan2(-2.0, p)
-        yield "LSR", (norm_angle(-alpha + tmp), p, norm_angle(-norm_angle(beta) + tmp))
+        yield "LSR", (norm_angle(-alpha + tmp), p, norm_angle(-beta + tmp))
     p_sq = d * d - 2.0 + 2.0 * c_ab - 2.0 * d * (sa + sb)
     if p_sq >= 0.0:
         p = math.sqrt(p_sq)
@@ -127,7 +127,7 @@ def _dubins_words(alpha, beta, d):
     if abs(tmp) <= 1.0:
         p = norm_angle(TWO_PI - math.acos(tmp))
         t = norm_angle(-alpha - math.atan2(ca - cb, d + sa - sb) + p / 2.0)
-        yield "LRL", (t, p, norm_angle(norm_angle(beta) - alpha - t + p))
+        yield "LRL", (t, p, norm_angle(beta - alpha - t + p))
 
 
 def dubins_shortest_path(start: Config, end: Config, r_min: float) -> DubinsPath:
@@ -158,8 +158,7 @@ def dubins_shortest_path(start: Config, end: Config, r_min: float) -> DubinsPath
             best = (total, word, (t, p, q))
     total, word, (t, p, q) = best
     # arcs scale by r_min; so does the normalized straight segment
-    params = tuple(seg * r_min for seg in (t, p, q))
-    return DubinsPath(word, params, r_min, start, total * r_min)
+    return DubinsPath(word, (t * r_min, p * r_min, q * r_min), r_min, start, total * r_min)
 
 
 def _norm_angles(theta: np.ndarray) -> np.ndarray:

@@ -283,7 +283,7 @@ def _out_of_time(params: MAParams, t0: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Structural operators (pure chromosome -> chromosome transformations)
+# Moves: each builds a candidate chromosome, and _move judges it
 
 
 def reverse_segment(chrom: Chromosome, i: int, j: int) -> Chromosome:
@@ -322,39 +322,15 @@ def reverse_vehicle_segment(chrom: Chromosome, vehicle_index: int, i: int, j: in
     return Chromosome(genes, chrom.samples)
 
 
-# ---------------------------------------------------------------------------
-# Improvement operators (improve-or-reject wrappers)
-
-
-def _keep_if_cheaper(cand: Chromosome, chrom: Chromosome, ev: Evaluator) -> Chromosome:
-    """The improve-or-reject rule: ``cand`` if it costs strictly less than
-    ``chrom``, else the input object ``chrom`` itself."""
-    return cand if ev.cost(cand) < ev.cost(chrom) else chrom
-
-
-def global_2opt(chrom: Chromosome, i: int, j: int, ev: Evaluator) -> Chromosome:
-    """2-opt across the whole gene string; keeps the input unless it improves."""
-    return _keep_if_cheaper(reverse_segment(chrom, i, j), chrom, ev)
-
-
-def local_2opt(chrom: Chromosome, vehicle_index: int, i: int, j: int, ev: Evaluator) -> Chromosome:
-    """2-opt confined to one vehicle's task genes; improve-or-reject."""
-    return _keep_if_cheaper(reverse_vehicle_segment(chrom, vehicle_index, i, j), chrom, ev)
-
-
-def task_swap(chrom: Chromosome, i: int, j: int, ev: Evaluator) -> Chromosome:
-    """Exchange two genes; improve-or-reject."""
-    return _keep_if_cheaper(swap_genes(chrom, i, j), chrom, ev)
-
-
 def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
     """Left-to-right scan of each decoded tour, replacing each task node's
     sample when profitable; pruned nodes travel nowhere and are not scanned.
 
-    A cheaper sample in the same cluster is accepted only if every task
+    A cheaper sample in the same cluster is taken only if every task
     crossed by the old node and not by the new one stays covered by some
-    other node of the current tours.  The whole scan is rolled back if the
-    re-decoded cost fails to improve strictly.
+    other node of the current tours.  Returns the rescanned chromosome,
+    uncosted, or ``chrom`` itself when no sample moved; :func:`_move`
+    judges it by its re-decoded cost.
     """
     rm = ev.roadmap
     ts = ev.tours(chrom)
@@ -373,7 +349,6 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
                 cover[t] += 1
 
     samples = list(chrom.samples)
-    changed = False
     # a decoded tour holds its vehicle's unpruned task nodes in gene order
     for veh, tour in zip(veh_ids, tours):
         cmat = rm.cost_rows[veh]
@@ -407,10 +382,7 @@ def sample_swap(chrom: Chromosome, ev: Evaluator) -> Chromosome:
                 cover[u] -= 1
             for u in nin_of[best_nid]:
                 cover[u] += 1
-            changed = True
-    if not changed:
-        return chrom
-    return _keep_if_cheaper(Chromosome(chrom.genes, samples), chrom, ev)
+    return chrom if samples == list(chrom.samples) else Chromosome(chrom.genes, samples)
 
 
 #: Local-search operators, in the order their tallies are kept.
@@ -431,32 +403,35 @@ def _ordered_pair(rng: random.Random, count: int) -> tuple[int, int]:
 
 def _move(op: str, chrom: Chromosome, ev: Evaluator, rng: random.Random,
           stats: ImproveStats) -> Chromosome:
-    """One tallied attempt of operator ``op``: draw its positions and apply it.
+    """One tallied attempt of operator ``op``: draw its positions, build the
+    candidate, and keep it only if it costs strictly less than ``chrom``
+    (improve-or-reject); otherwise return the input object ``chrom`` itself.
 
     A move with fewer than two genes to move counts as a rejected attempt
     and draws nothing: a global 2-opt or task swap on a one-gene string, a
     local 2-opt with no vehicle holding two tasks.
     """
     stats.attempts[op] += 1
-    out = chrom
+    cand = chrom
     length = len(chrom)
     if op == "global_2opt" and length >= 2:
-        out = global_2opt(chrom, *_ordered_pair(rng, length), ev)
+        cand = reverse_segment(chrom, *_ordered_pair(rng, length))
     elif op == "local_2opt":
         positions = _vehicle_task_positions(chrom)
         eligible = [vi for vi, ps in enumerate(positions) if len(ps) >= 2]
         if eligible:
             vi = rng.choice(eligible)
-            out = local_2opt(chrom, vi, *_ordered_pair(rng, len(positions[vi])), ev)
+            cand = reverse_vehicle_segment(chrom, vi, *_ordered_pair(rng, len(positions[vi])))
     elif op == "task_swap" and length >= 2:
         i = rng.randint(1, length)
         j = rng.randint(1, length - 1)
-        out = task_swap(chrom, i, j + (j >= i), ev)
+        cand = swap_genes(chrom, i, j + (j >= i))
     elif op == "sample_swap":
-        out = sample_swap(chrom, ev)
-    if out is not chrom:
-        stats.accepts[op] += 1
-    return out
+        cand = sample_swap(chrom, ev)
+    if cand is chrom or not ev.cost(cand) < ev.cost(chrom):
+        return chrom
+    stats.accepts[op] += 1
+    return cand
 
 
 def improve(chrom: Chromosome, level: str, ev: Evaluator, rng: random.Random,

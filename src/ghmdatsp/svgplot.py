@@ -26,6 +26,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
+def _attrs(attrs: dict) -> str:
+    """Keyword arguments as SVG attributes: ``stroke_width=2`` gives ``stroke-width="2"``."""
+    return " ".join(f'{k.replace("_", "-")}={quoteattr(str(v))}' for k, v in attrs.items())
+
+
 class _Svg:
     def __init__(self):
         self.parts: list[str] = []
@@ -41,23 +46,21 @@ class _Svg:
     def circle(self, cx, cy, r, **attrs):
         self.grow(cx - r, cy - r)
         self.grow(cx + r, cy + r)
-        a = " ".join(f'{k.replace("_", "-")}={quoteattr(str(v))}' for k, v in attrs.items())
-        self.parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(r)}" {a}/>')
+        self.parts.append(
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(r)}" {_attrs(attrs)}/>')
 
     def rect_marker(self, cx, cy, half, **attrs):
         self.grow(cx - half, cy - half)
         self.grow(cx + half, cy + half)
-        a = " ".join(f'{k.replace("_", "-")}={quoteattr(str(v))}' for k, v in attrs.items())
         self.parts.append(
             f'<rect x="{_fmt(cx - half)}" y="{_fmt(-cy - half)}" '
-            f'width="{_fmt(2 * half)}" height="{_fmt(2 * half)}" {a}/>')
+            f'width="{_fmt(2 * half)}" height="{_fmt(2 * half)}" {_attrs(attrs)}/>')
 
     def polyline(self, points, **attrs):
         for x, y in points:
             self.grow(x, y)
         pts = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in points)
-        a = " ".join(f'{k.replace("_", "-")}={quoteattr(str(v))}' for k, v in attrs.items())
-        self.parts.append(f'<polyline points="{pts}" fill="none" {a}/>')
+        self.parts.append(f'<polyline points="{pts}" fill="none" {_attrs(attrs)}/>')
 
     def text(self, x, y, s, size):
         self.parts.append(

@@ -14,10 +14,8 @@ import time
 from ghmdatsp.exact import RelaxedSolution, find_subtours, solve_bruteforce
 from ghmdatsp.geometry import Config, Disk, dubins_shortest_path, nin_check, norm_angle
 from ghmdatsp.instance import build_instance, turn_radius
-from ghmdatsp.memetic import (Evaluator, MAParams, decode,
-                              random_chromosome, run, sample_swap,
-                              validate_chromosome, _vehicle_task_positions)
-from ghmdatsp.memetic import global_2opt, local_2opt, task_swap
+from ghmdatsp.memetic import (OPERATORS, Evaluator, ImproveStats, MAParams, _move, decode,
+                              random_chromosome, run, validate_chromosome)
 from ghmdatsp.refine import (ChainState, RefineParams, WaypointChain, build_chain,
                              refine, refined_objective)
 from ghmdatsp.roadmap import DEPOT, TERMINAL, build_roadmap
@@ -135,40 +133,20 @@ class TestAcceptance:
         ev = Evaluator(rm)
         rng = random.Random(55)
         violations = 0
-        applications = 0
+        stats = ImproveStats()
         chrom = random_chromosome(rm, rng)
         for k in range(10000):
             if k % 40 == 0:
                 chrom = random_chromosome(rm, rng)
             before = ev.cost(chrom)
-            op = k % 4
-            if op == 0:
-                i = rng.randint(1, len(chrom) - 1)
-                j = rng.randint(i + 1, len(chrom))
-                chrom = global_2opt(chrom, i, j, ev)
-            elif op == 1:
-                eligible = [vi for vi, ps in enumerate(_vehicle_task_positions(chrom))
-                            if len(ps) >= 2]
-                if eligible:
-                    vi = rng.choice(eligible)
-                    cnt = len(_vehicle_task_positions(chrom)[vi])
-                    i = rng.randint(1, cnt - 1)
-                    j = rng.randint(i + 1, cnt)
-                    chrom = local_2opt(chrom, vi, i, j, ev)
-            elif op == 2:
-                i = rng.randint(1, len(chrom))
-                j = rng.randint(1, len(chrom) - 1)
-                j += j >= i
-                chrom = task_swap(chrom, i, j, ev)
-            else:
-                chrom = sample_swap(chrom, ev)
-            applications += 1
+            chrom = _move(OPERATORS[k % 4], chrom, ev, rng, stats)
             if ev.cost(chrom) > before + 1e-9:
                 violations += 1
             try:
                 validate_chromosome(chrom, rm)
             except Exception:
                 violations += 1
+        applications = sum(stats.attempts.values())
         ok = violations == 0 and applications == 10000
         report(5, "operator monotonicity", ok,
                f"{applications} applications, {violations} violations")

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from ghmdatsp import exact, geometry, memetic
+from ghmdatsp import refine as refine_mod
 from ghmdatsp import roadmap as roadmap_mod
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -41,7 +42,7 @@ def bench(monkeypatch):
 
 def test_tracer_hooks_see_every_layer(bench):
     tracing, pipeline, workloads, run = bench
-    owners = [geometry, roadmap_mod, importlib.import_module("ghmdatsp.refine"), memetic,
+    owners = [geometry, roadmap_mod, refine_mod, memetic,
               exact, roadmap_mod.Roadmap, memetic.Evaluator]
     before = [dict(vars(owner)) for owner in owners]
 

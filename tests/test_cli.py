@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import re
@@ -10,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from ghmdatsp import cli, memetic
+from ghmdatsp import refine as refine_mod
 from ghmdatsp.cli import EXIT_OK, EXIT_SOLVE, EXIT_USAGE, fingerprint, main
 from ghmdatsp.instance import Instance, build_instance
 
@@ -264,6 +264,23 @@ class TestSolve:
         wall = re.search(r"wall=([0-9.]+)s", capsys.readouterr().out)
         assert float(wall.group(1)) >= delay
 
+    def test_roadmap_build_counts_against_time_limit(self, tiny_file, tmp_path, monkeypatch):
+        # the build alone outlasts the budget, so no time is left for a generation
+        limit, delay = 1.0, 1.2
+        real_build = cli.build_roadmap
+
+        def slow_build(inst):
+            time.sleep(delay)
+            return real_build(inst)
+
+        monkeypatch.setattr(cli, "build_roadmap", slow_build)
+        _, path = tiny_file
+        out = tmp_path / "tour.json"
+        assert main(["solve", str(path), "--time-limit", str(limit),
+                     "--out", str(out)]) == EXIT_OK
+        history = json.loads(out.with_suffix(".history.json").read_text())
+        assert history["generations"] == 0
+        assert history["termination_reason"] == "time_limit"
 
     def test_time_limit_bounds_refinement(self, tmp_path, monkeypatch):
         # a two-generation search leaves most of the budget to refinement, and
@@ -275,7 +292,6 @@ class TestSolve:
         real_run = memetic.run
         monkeypatch.setattr(memetic, "run",
                             lambda rm, params: real_run(rm, replace(params, max_generations=2)))
-        refine_mod = importlib.import_module("ghmdatsp.refine")
         real_opt = refine_mod._optimize_state
         spent = []
 
@@ -312,7 +328,6 @@ class TestSolve:
 
         monkeypatch.setattr(memetic, "GenerationStat", stamped)
         # one vehicle, so refinement costs one chain before and after each half-sweep
-        refine_mod = importlib.import_module("ghmdatsp.refine")
         real_cost = refine_mod.chain_cost
         costed = []
 

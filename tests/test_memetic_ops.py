@@ -5,10 +5,9 @@ import pytest
 
 from ghmdatsp.instance import build_instance
 from ghmdatsp.memetic import (Chromosome, ChromosomeError, Evaluator, ImproveStats,
-                              MAParams, TourSet, crossover, decode, global_2opt,
-                              improve, local_2opt, random_chromosome, reverse_segment,
-                              reverse_vehicle_segment, sample_swap, select, swap_genes,
-                              task_swap, validate_chromosome)
+                              MAParams, TourSet, _move, crossover, decode, improve,
+                              random_chromosome, reverse_segment, reverse_vehicle_segment,
+                              sample_swap, select, swap_genes, validate_chromosome)
 from ghmdatsp.roadmap import build_roadmap
 
 from conftest import coverage_ok, random_tiny_instance
@@ -21,6 +20,34 @@ def labels(chrom):
 
 def fields(chrom):
     return chrom.genes, chrom.samples
+
+
+class Drawn:
+    """Stands in for ``random.Random`` in ``_move``: hands out the given
+    draws in order, each checked against the range it is drawn from."""
+
+    def __init__(self, *draws):
+        self.draws = iter(draws)
+
+    def randint(self, a, b):
+        value = next(self.draws)
+        assert a <= value <= b
+        return value
+
+    def choice(self, seq):
+        value = next(self.draws)
+        assert value in seq
+        return value
+
+
+def judged(op, chrom, ev, rng):
+    """One ``_move`` of ``op``: the chromosome it keeps, checked to be tallied
+    as one attempt, and as an accept exactly when it is not the input."""
+    stats = ImproveStats()
+    out = _move(op, chrom, ev, rng, stats)
+    assert stats.attempts[op] == 1
+    assert stats.accepts[op] == (out is not chrom)
+    return out
 
 
 @pytest.fixture()
@@ -94,9 +121,7 @@ class TestImproveOrReject:
         rng = random.Random(0)
         cur = chrom
         for _ in range(300):
-            i = rng.randint(1, len(cur) - 1)
-            j = rng.randint(i + 1, len(cur))
-            nxt = global_2opt(cur, i, j, ev)
+            nxt = judged("global_2opt", cur, ev, rng)
             assert ev.cost(nxt) <= ev.cost(cur) + 1e-12
             cur = nxt
 
@@ -105,7 +130,7 @@ class TestImproveOrReject:
         base = ev.cost(chrom)
         seen_reject = False
         for i in range(1, len(chrom)):
-            out = global_2opt(chrom, i, i + 1, ev)
+            out = judged("global_2opt", chrom, ev, Drawn(i, i + 1))
             if out is chrom:
                 seen_reject = True
             else:
@@ -114,13 +139,13 @@ class TestImproveOrReject:
 
     def test_task_swap_examples(self, example):
         _, rm, chrom, ev = example
-        out = task_swap(chrom, 1, 5, ev)
+        out = judged("task_swap", chrom, ev, Drawn(1, 4))  # positions 1 and 5
         validate_chromosome(out, rm)
         assert ev.cost(out) <= ev.cost(chrom)
 
     def test_local_2opt_respects_other_vehicles(self, example):
         _, rm, chrom, ev = example
-        out = local_2opt(chrom, 0, 1, 3, ev)
+        out = judged("local_2opt", chrom, ev, Drawn(0, 1, 3))  # vehicle 0, its genes 1..3
         validate_chromosome(out, rm)
         if out is not chrom:
             assert labels(out)[3:] == labels(chrom)[3:]
@@ -136,6 +161,7 @@ class TestSampleSwap:
         ev = Evaluator(rm)
         chrom = random_chromosome(rm, random.Random(0))
         assert sample_swap(chrom, ev) is chrom
+        assert judged("sample_swap", chrom, ev, None) is chrom
 
     def test_accepts_cheaper_sample_and_recosts(self, example):
         _, rm, chrom, ev = example
@@ -143,7 +169,7 @@ class TestSampleSwap:
         improved_any = False
         for _ in range(30):
             base = random_chromosome(rm, rng)
-            out = sample_swap(base, ev)
+            out = judged("sample_swap", base, ev, rng)
             assert ev.cost(out) <= ev.cost(base) + 1e-12
             if out is not base:
                 improved_any = True
@@ -159,7 +185,7 @@ class TestSampleSwap:
             rng = random.Random(key)
             for _ in range(25):
                 chrom = random_chromosome(rm, rng)
-                out = sample_swap(chrom, ev)
+                out = judged("sample_swap", chrom, ev, rng)
                 assert coverage_ok(ev.tours(out), rm)
                 assert ev.cost(out) <= ev.cost(chrom) + 1e-12
 

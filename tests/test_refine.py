@@ -6,12 +6,15 @@ import random
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghmdatsp
+import ghmdatsp.refine as refine_mod
 from ghmdatsp import cli, exact
 from ghmdatsp.geometry import Config, Disk, dubins_shortest_path, sample_path
 from ghmdatsp.instance import VehicleSpec, build_instance
@@ -22,8 +25,11 @@ from ghmdatsp.roadmap import build_roadmap
 
 from conftest import random_tiny_instance
 
-# the package re-exports the function ``refine``; this is the module
-refine_mod = importlib.import_module("ghmdatsp.refine")
+
+def test_package_attribute_refine_is_the_module():
+    assert isinstance(ghmdatsp.refine, types.ModuleType)
+    assert refine_mod is ghmdatsp.refine
+    assert refine_mod.refine is refine
 
 
 def make_vehicle(r_target=10.0, velocity=None):

@@ -12,17 +12,14 @@ the tours keeps these values independent of the search.
 
 import functools
 import hashlib
-import importlib
 
 import pytest
 
+import ghmdatsp.refine as refine_mod
 from ghmdatsp.instance import build_instance
 from ghmdatsp.memetic import TourSet
 from ghmdatsp.refine import RefineParams, build_chain, refine
 from ghmdatsp.roadmap import build_roadmap
-
-# the package re-exports the function ``refine``; this is the module
-refine_mod = importlib.import_module("ghmdatsp.refine")
 
 VELOCITIES = [50.0, 60.0]
 SAMPLES = 3
